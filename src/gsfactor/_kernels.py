@@ -13,51 +13,93 @@ speed:
 Vectors are dense, low-degree-first, always trimmed (no trailing zeros);
 the zero polynomial is the empty vector.  Repeated reduction by one modulus
 goes through a precomputed Newton-inverse reducer.
+
+Distinct-degree splitting, equal-degree splitting and the Rabin test all
+step through q-th powers modulo one square-free f.  They share one
+primitive, ``Kernel.frobenius(f)``: the q-power map as a product with the
+Frobenius matrix of f (row i is x^(q*i) mod f), built once per square-free
+part (von zur Gathen & Shoup, Comput. Complexity 2, 1992; Kaltofen & Shoup,
+Math. Comp. 67, 1998).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .errors import DomainError, InvariantError
 from .ffield import ExtensionField, FieldCtx, PrimeField
 
-_DIRECT_DIVMOD_DEGREE = 8  # below this, skip the Newton machinery
+_DIRECT_QUOTIENT = 8  # quotients shorter than this skip the Newton machinery
+# Largest Frobenius matrix, in coefficient entries (n * n * digits per entry;
+# 8 MiB as int64).  Above it the q-power map falls back to the powmod ladder.
+FROBENIUS_MAX_ENTRIES = 1 << 20
 
 
 class _Reducer:
-    """Precomputed reduction modulo one fixed monic polynomial."""
+    """Precomputed reduction modulo one fixed monic polynomial.
+
+    The inverse of the reversed modulus is computed on first use and
+    extended when a longer quotient needs more precision, so one reducer
+    serves inputs of any degree."""
 
     def __init__(self, kernel: "Kernel", m):
         self.kernel = kernel
         self.m = m
         self.n = kernel.deg(m)
-        if self.n > _DIRECT_DIVMOD_DEGREE:
-            rev = kernel.reverse_to(m, self.n + 1)
-            self.minv = kernel.inv_series(rev, self.n - 1)
-        else:
-            self.minv = None
+        self.minv = None
+        self.prec = 0
 
     def reduce(self, f):
         ker = self.kernel
-        if ker.deg(f) < self.n:
+        e = ker.deg(f) - self.n  # quotient degree
+        if e < 0:
             return f
-        if self.minv is None:
+        if e < _DIRECT_QUOTIENT:
             return ker.pdivmod(f, self.m)[1]
-        e = ker.deg(f) - self.n
-        if e > self.n - 2:
-            return ker.pdivmod(f, self.m)[1]
-        fr = ker.reverse_to(f, ker.deg(f) + 1)
-        qr = ker.trunc(ker.mul(fr, self.minv), e + 1)
+        if e >= self.prec:
+            self.prec = max(e + 1, self.n - 1)
+            self.minv = ker.inv_series(ker.reverse_to(self.m, self.n + 1), self.prec)
+        fr = ker.trunc(ker.reverse_to(f, ker.deg(f) + 1), e + 1)
+        qr = ker.trunc(ker.mul(fr, ker.trunc(self.minv, e + 1)), e + 1)
         q = ker.reverse_to(qr, e + 1)
-        r = ker.trunc(ker.sub(f, ker.mul(q, self.m)), self.n)
-        return r
+        return ker.trunc(ker.sub(f, ker.mul(q, self.m)), self.n)
+
+
+class _Frobenius:
+    """The q-power map v -> v^q modulo one fixed monic f of degree n.
+
+    On F_q[x]/(f) the map is F_q-linear: v^q = sum_i v_i x^(q*i), one
+    product of v with the Frobenius matrix.  The matrix is built on the
+    first call; where it would pass ``FROBENIUS_MAX_ENTRIES`` the map is the
+    square-and-multiply ladder instead.  Inputs have degree below n; the
+    result is reduced by ``red``, a reducer for f or for any divisor of f.
+    """
+
+    def __init__(self, kernel: "Kernel", f):
+        self.kernel = kernel
+        self.red = kernel.reducer(f)
+        self.x = self.red.reduce(kernel.xvec())
+        self.matrix = None
+        self.use_matrix = kernel.frobenius_fits(self.red.n)
+
+    def __call__(self, v, red: _Reducer | None = None):
+        ker = self.kernel
+        if red is None:
+            red = self.red
+        if not self.use_matrix:
+            return ker.powmod(v, ker.ctx.q, red)
+        if self.matrix is None:
+            self.matrix = ker.frobenius_matrix(self.red)
+        return red.reduce(ker.apply_matrix(self.matrix, v))
 
 
 class Kernel:
     """Shared algorithms; subclasses provide the vector primitives."""
 
     ctx: FieldCtx
+    width = 1  # matrix entries per field element (digits for DigitKernel)
 
     # -- primitives supplied by subclasses: from_reps, to_reps, eq, add,
     #    sub, neg, mul, scale, lead_rep, pad, trunc, pdivmod, deriv --------
@@ -114,13 +156,54 @@ class Kernel:
         if e < 0:
             raise DomainError("powmod exponent must be nonnegative")
         out = self.one()
-        base = red.reduce(v) if self.deg(v) < 2 * red.n - 1 else self.pdivmod(v, red.m)[1]
+        base = red.reduce(v)
         while e:
             if e & 1:
                 out = red.reduce(self.mul(out, base))
             e >>= 1
             if e:
                 base = red.reduce(self.mul(base, base))
+        return out
+
+    # -- the Frobenius map ----------------------------------------------------
+
+    def frobenius(self, f) -> _Frobenius:
+        """The q-power map modulo the monic f (see ``_Frobenius``)."""
+        return _Frobenius(self, f)
+
+    def frobenius_fits(self, n: int) -> bool:
+        """Whether the n x n Frobenius matrix stays within the memory bound."""
+        return n * n * self.width <= FROBENIUS_MAX_ENTRIES
+
+    def frobenius_matrix(self, red: _Reducer):
+        """Matrix whose row i is x^(q*i) mod f, for f = red.m.
+
+        The rows are powers of x^q; each comes from the previous one through
+        the matrix of multiplication by x^q (row j is x^j * x^q mod f), which
+        takes one shift-and-reduce step per row."""
+        n = red.n
+        x = self.xvec()
+        mult = [self.powmod(x, self.ctx.q, red)]
+        while len(mult) < n:
+            mult.append(red.reduce(self.mul(mult[-1], x)))
+        mult = self.to_matrix(mult, n)
+        rows = [self.one()]
+        while len(rows) < n:
+            rows.append(self.apply_matrix(mult, rows[-1]))
+        return self.to_matrix(rows, n)
+
+    def to_matrix(self, rows, n: int):
+        """Pack vectors of degree below n as the rows of a matrix."""
+        return [self.pad(r, n) for r in rows]
+
+    def apply_matrix(self, mat, v):
+        """sum_i v_i * row_i: the F_q-linear map with these rows, applied
+        to a vector no longer than the matrix."""
+        zero = self.ctx.zero_rep
+        out = self.from_reps([])
+        for c, row in zip(self.to_reps(v), mat):
+            if c != zero:
+                out = self.add(out, self.scale(row, c))
         return out
 
     # -- factorization ------------------------------------------------------
@@ -158,54 +241,82 @@ class Kernel:
             n_mult *= self.ctx.p
         return out
 
-    def distinct_degree_parts(self, f):
-        """Monic squarefree f -> [(product of degree-d factors, d)]."""
+    def distinct_degree_parts(self, f, frob: _Frobenius | None = None):
+        """Monic squarefree f -> [(product of degree-d factors, d)].
+
+        h_j = x^(q^j) is kept modulo f itself, one Frobenius step per j.
+        The products of (h_j - x) over a block of ceil(sqrt(deg f)) degrees
+        share one gcd with the part of f not yet split off; only a block
+        whose gcd is nontrivial is searched degree by degree."""
+        if frob is None:
+            frob = self.frobenius(f)
+        red, x = frob.red, frob.x
+        block = math.isqrt(max(self.deg(f) - 1, 0)) + 1
         out = []
-        red = self.reducer(f)
-        h = red.reduce(self.xvec())
-        j = 1
-        while self.deg(f) >= 2 * j:
-            h = self.powmod(h, self.ctx.q, red)
-            g = self.gcd(f, self.sub(h, self.xvec()))
-            if self.deg(g) > 0:
-                out.append((g, j))
-                f = self.exact_div(f, g)
-                if self.deg(f) == 0:
-                    return out
-                red = self.reducer(f)
-                h = red.reduce(h)
-            j += 1
-        if self.deg(f) > 0:
-            out.append((f, self.deg(f)))
+        rest, h, j = f, x, 0
+        while self.deg(rest) >= 2 * (j + 1):
+            first = j + 1
+            stop = min(j + block, self.deg(rest) // 2)
+            hs, prod = [], self.one()
+            while j < stop:
+                j += 1
+                h = frob(h)
+                hs.append(h)
+                prod = red.reduce(self.mul(prod, self.sub(h, x)))
+            g = self.gcd(rest, prod)
+            if self.deg(g) <= 0:
+                continue
+            rest = self.exact_div(rest, g)
+            for i, hi in enumerate(hs, first):
+                if self.deg(g) < 2 * i:
+                    # every factor left has degree >= i: g is one or none
+                    if self.deg(g) > 0:
+                        out.append((g, self.deg(g)))
+                    break
+                gi = self.gcd(g, self.sub(hi, x))
+                if self.deg(gi) > 0:
+                    out.append((gi, i))
+                    g = self.exact_div(g, gi)
+        if self.deg(rest) > 0:
+            out.append((rest, self.deg(rest)))
         return out
 
-    def equal_degree_split(self, f, d: int, rng):
-        """Monic squarefree f, all factors of degree d -> list of factors."""
+    def equal_degree_split(self, f, d: int, rng, frob: _Frobenius | None = None):
+        """Monic squarefree f, all factors of degree d -> list of factors.
+
+        ``frob`` is the q-power map modulo f or a multiple of f.  A random r
+        splits f through r^((q^d-1)/2) - 1, computed as the norm
+        r * r^q * ... * r^(q^(d-1)) raised to (q-1)/2."""
         n = self.deg(f)
         if n == d:
             return [f]
-        exp = (self.ctx.q**d - 1) // 2
+        if frob is None and d > 1:
+            frob = self.frobenius(f)
         red = self.reducer(f)
+        half = (self.ctx.q - 1) // 2
         while True:
             r = self.rand_vec(rng, n)
             if self.deg(r) < 1:
                 continue
-            g = self.gcd(f, r)
-            if 0 < self.deg(g) < n:
-                break
-            w = self.sub(self.powmod(r, exp, red), self.one())
-            g = self.gcd(f, w)
+            norm = conj = r
+            for _ in range(d - 1):
+                conj = frob(conj, red)
+                norm = red.reduce(self.mul(norm, conj))
+            g = self.gcd(f, self.sub(self.powmod(norm, half, red), self.one()))
             if 0 < self.deg(g) < n:
                 break
         rest = self.exact_div(f, g)
-        return self.equal_degree_split(g, d, rng) + self.equal_degree_split(rest, d, rng)
+        return self.equal_degree_split(g, d, rng, frob) + self.equal_degree_split(
+            rest, d, rng, frob
+        )
 
     def factor_monic(self, f, rng):
         """Monic f, deg >= 1 -> [(monic irreducible, multiplicity)]."""
         out = []
         for part, mult in self.squarefree_parts(f):
-            for prod, d in self.distinct_degree_parts(part):
-                for irr in self.equal_degree_split(prod, d, rng):
+            frob = self.frobenius(part)  # one Frobenius matrix per part
+            for prod, d in self.distinct_degree_parts(part, frob):
+                for irr in self.equal_degree_split(prod, d, rng, frob):
                     out.append((irr, mult))
         return out
 
@@ -214,12 +325,12 @@ class Kernel:
         n = self.deg(f)
         if n == 1:
             return True
-        red = self.reducer(f)
-        x = red.reduce(self.xvec())
+        frob = self.frobenius(f)
+        x = frob.x
         checkpoints = {n // ell for ell in _prime_divisors(n)}
         h = x
         for j in range(1, n + 1):
-            h = self.powmod(h, self.ctx.q, red)
+            h = frob(h)
             if j in checkpoints:
                 if self.deg(self.gcd(f, self.sub(h, x))) != 0:
                     return False
@@ -316,6 +427,12 @@ class ModPKernel(Kernel):
             return v[:0]
         return self.trim(v[1:] * np.arange(1, len(v), dtype=np.int64) % self.p)
 
+    def to_matrix(self, rows, n):
+        return np.array([self.pad(r, n) for r in rows])
+
+    def apply_matrix(self, mat, v):
+        return self.trim(v @ mat[: len(v)] % self.p)
+
     def pdivmod(self, a, b):
         if len(b) == 0:
             raise ZeroDivisionError("polynomial division by zero")
@@ -343,7 +460,7 @@ class DigitKernel(Kernel):
     def __init__(self, ctx: ExtensionField):
         self.ctx = ctx
         self.p = ctx.p
-        self.kk = ctx.k
+        self.kk = self.width = ctx.k
         # fold table: row j = digits of t^(k+j) modulo the field modulus
         self._fold = np.array(ctx._red, dtype=np.int64) if ctx.k > 1 else None
 
@@ -397,25 +514,46 @@ class DigitKernel(Kernel):
                 bw = b[:, w]
                 if bw.any():
                     wide[:, u + w] += np.convolve(au, bw)
+        return self._fold_wide(wide)
+
+    def _fold_wide(self, wide):
+        """Digit rows of degree up to 2k-2 in t -> reduced, trimmed vector."""
+        k = self.kk
         wide %= self.p
         out = wide[:, :k]
         if k > 1:
             out = out + wide[:, k:] @ self._fold
         return self.trim(out % self.p)
 
-    def _scalar_matrix(self, c_rep):
-        """Row u = digits of c * t^u; right-multiplication scales by c."""
-        rows = []
-        cur = c_rep
-        for _ in range(self.kk):
-            rows.append(cur)
-            cur = self.ctx.rmul(cur, self.ctx.rep_of((0, 1)))
-        return np.array(rows, dtype=np.int64)
+    def _t_multiples(self, v):
+        """(k, len(v), k) array whose entry u is t^u * v, digit by digit."""
+        out = np.empty((self.kk,) + v.shape, dtype=np.int64)
+        out[0] = v
+        for u in range(1, self.kk):
+            prev = out[u - 1]
+            out[u, :, 0] = 0
+            out[u, :, 1:] = prev[:, :-1]
+            out[u] = (out[u] + prev[:, -1:] * self._fold[0]) % self.p
+        return out
+
+    def to_matrix(self, rows, n):
+        return np.array([self.pad(r, n) for r in rows])
+
+    def apply_matrix(self, mat, v):
+        n, k = mat.shape[1], self.kk
+        flat = mat[: len(v)].reshape(len(v), n * k)
+        wide = np.zeros((n, 2 * k - 1), dtype=np.int64)
+        for u in range(k):
+            vu = v[:, u]
+            if vu.any():
+                wide[:, u : u + k] += (vu @ flat).reshape(n, k)
+        return self._fold_wide(wide)
 
     def scale(self, v, c_rep):
         if len(v) == 0:
             return v
-        return self.trim(v @ self._scalar_matrix(c_rep) % self.p)
+        c = np.array([c_rep], dtype=np.int64)
+        return self.trim(v @ self._t_multiples(c)[:, 0, :] % self.p)
 
     def lead_rep(self, v):
         return tuple(int(d) for d in v[-1])
@@ -432,20 +570,23 @@ class DigitKernel(Kernel):
         lb = len(b)
         if len(a) < lb:
             return a[:0], a
-        inv = self.ctx.rinv(self.lead_rep(b))
-        bm = self.scale(b, inv)
-        bm = self.pad(bm, lb)  # scale() trims; the length is needed intact
+        inv = None
+        if self.lead_rep(b) != self.ctx.one_rep:
+            inv = self.ctx.rinv(self.lead_rep(b))
+            b = self.pad(self.scale(b, inv), lb)  # scale() trims; keep the length
+        k = self.kk
+        # row u of `rows` is t^u * (b without its lead), so c * b is c @ rows
+        rows = self._t_multiples(b[:-1]).reshape(k, -1)
         r = a.copy()
         qlen = len(a) - lb + 1
-        qv = np.zeros((qlen, self.kk), dtype=np.int64)
+        qv = np.zeros((qlen, k), dtype=np.int64)
         for i in range(qlen - 1, -1, -1):
             row = r[i + lb - 1]
             if row.any():
                 qv[i] = row
-                m = self._scalar_matrix(tuple(int(d) for d in row))
-                r[i : i + lb - 1] = (r[i : i + lb - 1] - bm[:-1] @ m) % self.p
-                r[i + lb - 1] = 0
-        return self.scale(qv, inv), self.trim(r[: lb - 1])
+                r[i : i + lb - 1] = (r[i : i + lb - 1] - (row @ rows).reshape(lb - 1, k)) % self.p
+        q = self.trim(qv) if inv is None else self.scale(qv, inv)
+        return q, self.trim(r[: lb - 1])
 
 
 class ObjectKernel(Kernel):
@@ -537,11 +678,13 @@ class ObjectKernel(Kernel):
 
 def kernel_for(ctx: FieldCtx, degree_bound: int) -> Kernel:
     """Pick the fastest kernel that is exact for this field and size."""
+    # product and Frobenius-matrix accumulators sum up to
+    # k * (degree_bound + 1) terms below p^2; they must stay within int64
+    if isinstance(ctx, (PrimeField, ExtensionField)):
+        if ctx.k * (degree_bound + 1) * (ctx.p - 1) ** 2 >= 2**62:
+            return ObjectKernel(ctx)
     if isinstance(ctx, PrimeField):
-        # convolution accumulators must stay within int64
-        if (degree_bound + 1) * (ctx.p - 1) ** 2 < 2**62:
-            return ModPKernel(ctx)
-        return ObjectKernel(ctx)
+        return ModPKernel(ctx)
     if isinstance(ctx, ExtensionField):
         return DigitKernel(ctx)
     return ObjectKernel(ctx)

@@ -186,7 +186,7 @@ def factor_closed_form(ctx: DicksonCtx, s) -> Factorization:
     lead = ctx.tau * ctx.tau / 2
     result = Factorization(lead, merged.values())
     if result.expand() != build_g(ctx, s):
-        raise InvariantError(f"closed form for s={s} failed reconstruction")
+        raise InvariantError(f"closed form for q={ctx.field.q}, s={s} failed reconstruction")
     return result
 
 

@@ -368,20 +368,22 @@ def factorize(f: Poly, seed: int | None = None) -> Factorization:
     ker = _kernels.kernel_for(ctx, int(f.degree))
     v = ker.from_reps([c.rep for c in f.coeffs])
     lead_rep, vm = ker.make_monic(v)
-    rng = random.Random(DEFAULT_SEED if seed is None else seed)
-    raw = ker.factor_monic(vm, rng)
+    seed = DEFAULT_SEED if seed is None else seed
+    raw = ker.factor_monic(vm, random.Random(seed))
     factors = [
         (Poly(ctx, [FieldElement(ctx, r) for r in ker.to_reps(vec)]), m)
         for vec, m in raw
     ]
     fact = Factorization(FieldElement(ctx, lead_rep), factors)
     if sum(g.degree * m for g, m in fact.factors) != f.degree:
-        raise InvariantError("factor degrees do not sum to the input degree")
+        raise InvariantError(
+            f"factor degrees do not sum to the input degree (q={ctx.q}, seed={seed})"
+        )
     return fact
 
 
 def is_irreducible(f: Poly) -> bool:
-    """Rabin irreducibility test (powmod ladder of Frobenius maps)."""
+    """Rabin irreducibility test (q-power steps through the Frobenius matrix)."""
     if f.degree < 1:
         return False
     ker = _kernels.kernel_for(f.ctx, int(f.degree))

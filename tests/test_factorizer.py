@@ -4,10 +4,12 @@ The generic seeded factorization engine (exercised against sympy in
 test_polyring) serves as the independent reference throughout.
 """
 
+import re
+
 import pytest
 
 from gsfactor.dickson import build_ctx, build_g
-from gsfactor.errors import DomainError
+from gsfactor.errors import DomainError, InvariantError
 from gsfactor.factorizer import (
     TABLE_DEGREES,
     CaseKind,
@@ -26,7 +28,7 @@ from gsfactor.factorizer import (
     verify_against_oracle,
 )
 from gsfactor.ffield import elements, make_field, make_field_q, quad_char
-from gsfactor.polyring import Poly, factorize, is_irreducible, poly_str
+from gsfactor.polyring import Factorization, Poly, factorize, is_irreducible, poly_str
 from gsfactor.recurrence import build_profile
 
 CTX13 = build_ctx(make_field(13))
@@ -338,6 +340,15 @@ class TestDegreeTables:
 
     def test_table_degrees_constant(self):
         assert TABLE_DEGREES == (3, 4, 5, 6, 8, 10, 12)
+
+
+class TestInvariantContext:
+    def test_failed_reconstruction_names_field_and_parameter(self, monkeypatch):
+        monkeypatch.setattr(Factorization, "expand", lambda self: Poly.one(CTX13.field))
+        with pytest.raises(InvariantError) as err:
+            factor_closed_form(CTX13, 6)
+        assert re.search(r"\bq=13\b", str(err.value))
+        assert re.search(r"\bs=6\b", str(err.value))
 
 
 class TestOracleEquivalence:

@@ -6,12 +6,14 @@ self-consistency (expand, irreducibility, degree bookkeeping).
 """
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 import sympy
 
-from gsfactor.errors import DomainError
+from gsfactor import _kernels
+from gsfactor.errors import DomainError, InvariantError
 from gsfactor.ffield import elements, make_field
 from gsfactor.polyring import (
     Factorization,
@@ -201,6 +203,14 @@ class TestFactorize:
     def test_rejects_zero(self):
         with pytest.raises(DomainError):
             factorize(Poly.zero(F13))
+
+    def test_invariant_failure_names_field_and_seed(self, monkeypatch):
+        monkeypatch.setattr(_kernels.ModPKernel, "factor_monic", lambda self, f, rng: [])
+        x = Poly.x(F13)
+        with pytest.raises(InvariantError) as err:
+            factorize(x**2 + 2, seed=77)
+        assert re.search(r"\bq=13\b", str(err.value))
+        assert re.search(r"\bseed=77\b", str(err.value))
 
 
 class TestRoots:
