@@ -112,9 +112,11 @@ def _odd_prime_powers(limit: int):
             yield q
 
 
-def _case_report(ctx: DicksonCtx, s) -> dict:
+def _case_report(ctx: DicksonCtx, s) -> tuple:
+    """(JSON record, Factorization, constant terms or None) for one s."""
     tag = classify(ctx, s)
     fac = factor_closed_form(ctx, s)
+    ms = None
     rec = {
         "s": elem_json(s),
         "case": tag.kind.value,
@@ -130,7 +132,7 @@ def _case_report(ctx: DicksonCtx, s) -> dict:
         residues = {quad_char(m) for m in ms}
         rec["residue"] = residues.pop() if len(residues) == 1 else None
         rec["b_set"] = sign_class(ctx, s, e).value
-    return rec
+    return rec, fac, ms
 
 
 def _emit(obj, out):
@@ -144,7 +146,7 @@ def _cmd_factor(args, out) -> int:
     field = _parse_field_spec(field_spec)
     ctx = build_ctx(field)
     s = _parse_elem(field, s_literal)
-    rec = _case_report(ctx, s)
+    rec, fac, ms = _case_report(ctx, s)
     if args.format == "json":
         _emit(rec, out)
         return 0
@@ -154,11 +156,10 @@ def _cmd_factor(args, out) -> int:
     if rec["e"] is not None:
         line += f" (e = {rec['e']})"
     print(line, file=out)
-    if rec["constant_terms"] is not None:
-        e, ms = constant_terms(ctx, s)
+    if ms is not None:
         print("constant terms: " + ", ".join(str(m) for m in ms), file=out)
         print(f"sign class: {rec['b_set']} | residue: {rec['residue']}", file=out)
-    print(f"g_s = {factor_closed_form(ctx, s)}", file=out)
+    print(f"g_s = {fac}", file=out)
     return 0
 
 
@@ -205,7 +206,7 @@ def _cmd_atlas(args, out) -> int:
     field = _parse_field_spec(field_spec)
     ctx = build_ctx(field)
     for s in elements(field):
-        print(json.dumps(_case_report(ctx, s)), file=out)
+        print(json.dumps(_case_report(ctx, s)[0]), file=out)
     return 0
 
 

@@ -127,11 +127,12 @@ def _shape_preimages(ctx: DicksonCtx, s: FieldElement, shape: Poly) -> list:
     """The constants m with shape - m dividing g_s, each necessarily simple."""
     lead = ctx.tau * ctx.tau / 2
     h = decompose_by(build_g(ctx, s) / lead, shape)
+    where = f"q={ctx.field.q}, s={s}"
     if h is None:
-        raise InvariantError("the family polynomial is not composed of the shape")
+        raise InvariantError(f"the family polynomial is not composed of the shape ({where})")
     rs = roots_in_field(h)
     if len(rs) != h.degree or len(set(r.rep for r in rs)) != len(rs):
-        raise InvariantError("shape offsets are not simple field roots")
+        raise InvariantError(f"shape offsets are not simple field roots ({where})")
     return sorted(rs, key=lambda r: r.key())
 
 
@@ -198,7 +199,7 @@ def constant_terms(ctx: DicksonCtx, s):
         raise DomainError("constant terms are defined only in the degree-e case")
     ms = _shape_preimages(ctx, s, factor_shape_poly(profile))
     if len(ms) != ctx.E // profile.e:
-        raise InvariantError("wrong number of shape offsets")
+        raise InvariantError(f"wrong number of shape offsets (q={ctx.field.q}, s={s})")
     return profile.e, tuple(ms)
 
 
@@ -261,9 +262,9 @@ def sign_class(ctx: DicksonCtx, s, d: int) -> SignClass:
     in_plus = mult_order(beta) == 2 * d
     in_minus = mult_order(-beta) == 2 * d
     if d % 2 == 0 and in_plus != in_minus:
-        raise InvariantError("even-index classes must be symmetric")
+        raise InvariantError(f"even-index classes must be symmetric (q={field.q}, s={s})")
     if d % 2 == 1 and in_plus and in_minus:
-        raise InvariantError("odd-index classes must be exclusive")
+        raise InvariantError(f"odd-index classes must be exclusive (q={field.q}, s={s})")
     if in_plus:
         return SignClass.PLUS
     if in_minus:
@@ -291,14 +292,16 @@ def norm_residuacity(ctx: DicksonCtx, d: int) -> list:
             continue
         cls = sign_class(ctx, s, d)
         if cls is SignClass.NEITHER:
-            raise InvariantError("degree-d parameter outside both sign classes")
+            raise InvariantError(
+                f"degree-d parameter outside both sign classes (q={field.q}, s={s})"
+            )
         residues = {quad_char(m) for m in ms}
         residue = residues.pop() if len(residues) == 1 else None
         if d % 2 == 1:
             expected = -1 if cls is SignClass.PLUS else 1
             if residue != expected:
                 raise InvariantError(
-                    f"norm residues for s={s} violate the odd-degree law"
+                    f"norm residues for q={field.q}, s={s} violate the odd-degree law"
                 )
         out.append(NormClass(s=s, d=d, membership=cls, norms=ms, residue=residue))
     return out

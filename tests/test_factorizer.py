@@ -8,6 +8,7 @@ import re
 
 import pytest
 
+from gsfactor import factorizer
 from gsfactor.dickson import build_ctx, build_g
 from gsfactor.errors import DomainError, InvariantError
 from gsfactor.factorizer import (
@@ -347,6 +348,17 @@ class TestInvariantContext:
         monkeypatch.setattr(Factorization, "expand", lambda self: Poly.one(CTX13.field))
         with pytest.raises(InvariantError) as err:
             factor_closed_form(CTX13, 6)
+        assert re.search(r"\bq=13\b", str(err.value))
+        assert re.search(r"\bs=6\b", str(err.value))
+
+    @pytest.mark.parametrize(
+        "name, stub",
+        [("decompose_by", lambda f, shape: None), ("roots_in_field", lambda h: [])],
+    )
+    def test_shape_preimages_name_field_and_parameter(self, monkeypatch, name, stub):
+        monkeypatch.setattr(factorizer, name, stub)
+        with pytest.raises(InvariantError) as err:
+            constant_terms(CTX13, 6)
         assert re.search(r"\bq=13\b", str(err.value))
         assert re.search(r"\bs=6\b", str(err.value))
 

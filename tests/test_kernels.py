@@ -99,28 +99,35 @@ class TestAgainstObjectKernel:
             )
 
 
-class TestStages:
-    def irreducibles(self, F, degrees, rng):
-        ref = ObjectKernel(F)
-        out = []
-        for d in degrees:
-            while True:
-                f = ref.from_reps(rand_reps(F, d, rng, monic=True))
-                if ref.is_irreducible(f) and f not in out:
-                    out.append(f)
-                    break
-        return out
+def irreducibles(F, degrees, rng):
+    """Distinct monic irreducibles of the given degrees, as ObjectKernel vectors."""
+    ref = ObjectKernel(F)
+    out = []
+    for d in degrees:
+        while True:
+            f = ref.from_reps(rand_reps(F, d, rng, monic=True))
+            if ref.is_irreducible(f) and f not in out:
+                out.append(f)
+                break
+    return out
 
+
+def product(ker, factors):
+    out = ker.one()
+    for g in factors:
+        out = ker.mul(out, g)
+    return out
+
+
+class TestStages:
     @pytest.mark.parametrize("name", ["F3", "F9"])
     def test_distinct_degree_blocks(self, name):
         # n = 49, blocks of 7 degrees: two blocks split, one factor is left over
         F = FIELDS[name]
         ref = ObjectKernel(F)
         degrees = [1, 1, 2, 3, 3, 5, 7, 8, 8, 11]
-        factors = self.irreducibles(F, degrees, random.Random(10))
-        f = ref.one()
-        for g in factors:
-            f = ref.mul(f, g)
+        factors = irreducibles(F, degrees, random.Random(10))
+        f = product(ref, factors)
         want = {}
         for d, g in zip(degrees, factors):
             want[d] = ref.mul(want.get(d, ref.one()), g)
@@ -141,13 +148,14 @@ class TestFrobenius:
             g = ker.from_reps(rand_reps(field, 4, rng, monic=True))
             fg = ker.mul(f, g)
             frob = ker.frobenius(fg)
-            red_g = ker.reducer(g)
+            frob_g = frob.restrict(g)
             for _ in range(4):
                 v = ker.from_reps(rand_reps(field, rng.randrange(0, 13), rng))
                 assert frob.use_matrix
                 assert ker.eq(frob(v), ker.powmod(v, field.q, frob.red))
-                # the result reduced modulo a divisor of the modulus
-                assert ker.eq(frob(v, red_g), ker.powmod(v, field.q, red_g))
+                # the map restricted to a divisor of the modulus
+                want = ker.powmod(v, field.q, frob_g.red)
+                assert ker.eq(frob_g(frob_g.red.reduce(v)), want)
             assert frob.matrix is not None
 
     def test_rows_are_q_powers_of_x(self, field):
@@ -190,6 +198,95 @@ class TestFrobenius:
         v = ker.from_reps(rand_reps(F, 4, random.Random(9)))
         assert ker.eq(frob(v), ker.powmod(v, F.q, frob.red))
         assert not frob.use_matrix and frob.matrix is None
+
+
+def x_power(ker, e):
+    F = ker.ctx
+    return ker.from_reps([F.zero_rep] * e + [F.one_rep])
+
+
+class TestTableReduction:
+    @pytest.mark.parametrize("n", [1, 2, 7, 30])
+    def test_rows_are_remainders_of_x_powers(self, field, n):
+        rng = random.Random(20 + n)
+        m_reps = rand_reps(field, n, rng, monic=True)
+        for ker in both(field):
+            m = ker.from_reps(m_reps)
+            red = ker.reducer(m)
+            assert red.tabled
+            red.reduce(x_power(ker, max(2 * n - 2, n)))  # a product's length, or one more
+            first = len(red.table)
+            assert first == max(n - 1, 1)
+            red.reduce(ker.from_reps(rand_reps(field, 3 * n + 4, rng)))  # extends the table
+            assert len(red.table) == 2 * n + 5 > first
+            for j, row in enumerate(red.table):
+                got = ker.from_reps(ker.to_reps(row))
+                assert ker.eq(got, ker.pdivmod(x_power(ker, n + j), m)[1])
+
+    def test_reduce_long_inputs(self, field):
+        fast, ref = both(field)
+        rng = random.Random(21)
+        for n in (1, 3, 8, 17):
+            m = rand_reps(field, n, rng, monic=True)
+            reds = fast.reducer(fast.from_reps(m)), ref.reducer(ref.from_reps(m))
+            for length in (2 * n, 2 * n + 1, 4 * n + 3, 9 * n + 7):
+                v = rand_reps(field, length - 1, rng)
+                want = ref.pdivmod(ref.from_reps(v), ref.from_reps(m))[1]
+                assert same(fast, ref, reds[0].reduce(fast.from_reps(v)), want)
+                assert ref.eq(reds[1].reduce(ref.from_reps(v)), want)
+
+    def test_restrict_matches_powmod(self, field):
+        rng = random.Random(22)
+        for ker in both(field):
+            g = ker.from_reps(rand_reps(field, 3, rng, monic=True))
+            f = ker.mul(g, ker.from_reps(rand_reps(field, 5, rng, monic=True)))
+            part = ker.mul(f, ker.from_reps(rand_reps(field, 6, rng, monic=True)))
+            frob_f = ker.frobenius(part).restrict(f)
+            frob_g = frob_f.restrict(g)  # restricted twice: g | f | part
+            assert frob_f.restrict(f) is frob_f
+            for frob, red in ((frob_f, frob_f.red), (frob_g, frob_g.red)):
+                assert len(frob.matrix) == red.n == len(frob.matrix[0])
+                for _ in range(3):
+                    v = red.reduce(ker.from_reps(rand_reps(field, 13, rng)))
+                    assert ker.eq(frob(v), ker.powmod(v, field.q, ker.reducer(red.m)))
+
+    def test_newton_side_of_the_bound(self, field, monkeypatch):
+        rng = random.Random(23)
+        fast, ref = both(field)
+        m = rand_reps(field, 9, rng, monic=True)
+        g = rand_reps(field, 5, rng, monic=True)
+        v = rand_reps(field, 30, rng)
+        monkeypatch.setattr(_kernels, "TABLE_MAX_DEGREE", 6)
+        red = fast.reducer(fast.from_reps(m))
+        assert not red.tabled and fast.reducer(fast.from_reps(g)).tabled
+        want = ref.pdivmod(ref.from_reps(v), ref.from_reps(m))[1]
+        assert same(fast, ref, red.reduce(fast.from_reps(v)), want)
+        assert red.table is None and red.minv is not None
+        # a piece above the bound keeps the parent's rows and reduces each output
+        part = fast.mul(fast.from_reps(m), fast.from_reps(g))
+        frob = fast.frobenius(part).restrict(fast.from_reps(m))
+        w = red.reduce(fast.from_reps(v))
+        assert len(frob.matrix[0]) == 14
+        assert fast.eq(frob(w), fast.powmod(w, field.q, red))
+        with_newton = fast.factor_monic(part, random.Random(3))
+        monkeypatch.undo()
+        with_table = fast.factor_monic(part, random.Random(3))
+        key = lambda t: (fast.to_reps(t[0]), t[1])  # noqa: E731
+        assert sorted(map(key, with_newton)) == sorted(map(key, with_table))
+
+    @pytest.mark.parametrize("name, count", [("F3", 3), ("F199", 20), ("F9", 20)])
+    def test_many_distinct_quadratics(self, name, count):
+        # F_3 has only three monic irreducible quadratics; F_199 carries the
+        # 20-quadratic case over a prime field
+        F = FIELDS[name]
+        fast, ref = both(F)
+        f = product(ref, irreducibles(F, [2] * count, random.Random(24)))
+        got = fast.factor_monic(fast.from_reps(ref.to_reps(f)), random.Random(5))
+        want = ref.factor_monic(f, random.Random(5))
+        assert len(want) == count
+        assert sorted((fast.to_reps(g), m) for g, m in got) == sorted(
+            (ref.to_reps(g), m) for g, m in want
+        )
 
 
 class TestKernelChoice:

@@ -212,6 +212,15 @@ class TestFactorize:
         assert re.search(r"\bq=13\b", str(err.value))
         assert re.search(r"\bseed=77\b", str(err.value))
 
+    def test_exact_division_names_field_and_degrees(self, monkeypatch):
+        # a gcd that does not divide f makes the square-free step's division fail
+        monkeypatch.setattr(_kernels.ModPKernel, "gcd", lambda self, a, b: self.from_reps([1, 1]))
+        x = Poly.x(F13)
+        with pytest.raises(InvariantError) as err:
+            factorize(x**2 + 2)
+        assert re.search(r"\bq=13\b", str(err.value))
+        assert re.search(r"\bdegree 2 by degree 1\b", str(err.value))
+
 
 class TestRoots:
     def test_roots_with_multiplicity(self):
