@@ -1,4 +1,7 @@
-"""Coefficient-vector kernels backing the factorization oracle.
+"""Coefficient-vector kernels: the package's polynomial arithmetic.
+
+``Poly`` products and division, the extension-field modulus search and the
+factorization oracle all run here.
 
 The algorithms (square-free decomposition, distinct-degree splitting,
 equal-degree splitting, Rabin irreducibility) are written once against a
@@ -31,7 +34,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, InvariantError
-from .ffield import ExtensionField, FieldCtx, PrimeField
+from .ffield import ExtensionField, FieldCtx, PrimeField, _factor_int
 
 # Largest Frobenius matrix, in coefficient entries (n * n * digits per entry;
 # 8 MiB as int64).  Above it the q-power map falls back to the powmod ladder.
@@ -43,6 +46,9 @@ FROBENIUS_MAX_ENTRIES = 1 << 20
 # at 1024-1031; over F_125, 0.6 at 600 and 0.98 at 800.  The table also
 # costs about 4x the Newton inverse to build.
 TABLE_MAX_DEGREE = 800
+# A draw splits a product of degree-d factors with probability about 1/2, so
+# this many failures in a row (odds near 2^-64) means an arithmetic fault.
+MAX_FAILED_DRAWS = 64
 
 
 class _Reducer:
@@ -357,7 +363,8 @@ class Kernel:
         ``frob`` is the q-power map modulo f or a multiple of f; for d > 1 it
         is restricted to f once, and each piece passes its own map down.  A
         random r splits f through r^((q^d-1)/2) - 1, computed as the norm
-        r * r^q * ... * r^(q^(d-1)) raised to (q-1)/2."""
+        r * r^q * ... * r^(q^(d-1)) raised to (q-1)/2.  ``MAX_FAILED_DRAWS``
+        failed draws in a row raise ``InvariantError``."""
         n = self.deg(f)
         if n == d:
             return [f]
@@ -367,7 +374,7 @@ class Kernel:
         else:
             red = self.reducer(f)
         half = (self.ctx.q - 1) // 2
-        while True:
+        for _ in range(MAX_FAILED_DRAWS):
             r = self.rand_vec(rng, n)
             if self.deg(r) < 1:
                 continue
@@ -378,6 +385,11 @@ class Kernel:
             g = self.gcd(f, self.sub(self.powmod(norm, half, red), self.one()))
             if 0 < self.deg(g) < n:
                 break
+        else:
+            raise InvariantError(
+                f"equal-degree splitting failed {MAX_FAILED_DRAWS} draws in a row"
+                f" (q={self.ctx.q}, deg f={n}, d={d})"
+            )
         rest = self.exact_div(f, g)
         return self.equal_degree_split(g, d, rng, frob) + self.equal_degree_split(
             rest, d, rng, frob
@@ -400,7 +412,7 @@ class Kernel:
             return True
         frob = self.frobenius(f)
         x = frob.x
-        checkpoints = {n // ell for ell in _prime_divisors(n)}
+        checkpoints = {n // ell for ell in _factor_int(n)}
         h = x
         for j in range(1, n + 1):
             h = frob(h)
@@ -427,20 +439,6 @@ class Kernel:
 
     def trim(self, v):
         raise NotImplementedError
-
-
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 class ModPKernel(Kernel):

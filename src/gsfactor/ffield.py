@@ -6,7 +6,9 @@ Three context classes share one interface:
 * ``ExtensionField`` -- F_{p^k} with ``k > 1``, elements represented by
   length-``k`` tuples of base-p digits, low degree first, reduced modulo a
   deterministic modulus: the lexicographically smallest monic irreducible of
-  degree ``k`` (coefficient vectors compared low-to-high).
+  degree ``k`` (coefficient vectors compared low-to-high), found by running
+  the prime-field kernel's Rabin test over the candidates in that order.
+  Inverses are ``a^(q-2)``.
 * ``QuadraticExtension`` -- F_q[t]/(t^2 - nu) over a base field, elements
   represented by pairs of base representatives.  When -1 is a nonsquare the
   modulus is t^2 + 1 and ``i`` is t itself; otherwise nu is the canonically
@@ -72,89 +74,17 @@ def _factor_int(n: int) -> dict[int, int]:
     return out
 
 
-# ---------------------------------------------------------------------------
-# dense int-list polynomial helpers mod p, used only for modulus selection
-
-def _pl_trim(f: list[int]) -> list[int]:
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _pl_mul(f: list[int], g: list[int], p: int) -> list[int]:
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    return _pl_trim(out)
-
-
-def _pl_mod(f: list[int], m: list[int], p: int) -> list[int]:
-    f = f[:]
-    inv_lead = pow(m[-1], p - 2, p)
-    while len(f) >= len(m):
-        c = f[-1] * inv_lead % p
-        shift = len(f) - len(m)
-        if c:
-            for j, b in enumerate(m):
-                f[shift + j] = (f[shift + j] - c * b) % p
-        f.pop()
-        _pl_trim(f)
-        if not f:
-            break
-    return f
-
-
-def _pl_gcd(f: list[int], g: list[int], p: int) -> list[int]:
-    while g:
-        f, g = g, _pl_mod(f, g, p)
-    return f
-
-
-def _pl_powmod(f: list[int], e: int, m: list[int], p: int) -> list[int]:
-    out = [1]
-    base = _pl_mod(f, m, p)
-    while e:
-        if e & 1:
-            out = _pl_mod(_pl_mul(out, base, p), m, p)
-        base = _pl_mod(_pl_mul(base, base, p), m, p)
-        e >>= 1
-    return out
-
-
-def _pl_irreducible(m: list[int], p: int) -> bool:
-    """Rabin irreducibility test for a monic polynomial over F_p."""
-    k = len(m) - 1
-    x = [0, 1]
-    h = x[:]
-    powers = {}
-    for j in range(1, k + 1):
-        h = _pl_powmod(h, p, m, p)
-        powers[j] = h
-    if h != _pl_mod(x, m, p):
-        return False
-    for ell in _factor_int(k):
-        diff = powers[k // ell][:]
-        while len(diff) < 2:
-            diff.append(0)
-        diff[1] = (diff[1] - 1) % p
-        g = _pl_gcd(m, _pl_trim(diff), p)
-        if len(g) != 1:
-            return False
-    return True
-
-
 def _smallest_modulus(p: int, k: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree k over F_p."""
+    from ._kernels import ModPKernel  # _kernels imports this module
+
+    ker = ModPKernel(PrimeField(p))
     for tail in itertools.product(range(p), repeat=k):
         if tail[0] == 0:
             continue  # divisible by t
-        cand = list(tail) + [1]
-        if _pl_irreducible(cand, p):
-            return tuple(cand)
+        cand = tail + (1,)
+        if ker.is_irreducible(ker.from_reps(cand)):
+            return cand
     raise DomainError(f"no irreducible of degree {k} over F_{p}")  # unreachable
 
 
@@ -451,29 +381,7 @@ class ExtensionField(FieldCtx):
     def rinv(self, a):
         if a == self.zero_rep:
             raise ZeroDivisionError("inverse of zero")
-        # extended Euclid in F_p[t] against the modulus
-        p = self.p
-        r0, r1 = list(self.modulus), _pl_trim(list(a))
-        s0, s1 = [], [1]
-        while r1:
-            inv_lead = pow(r1[-1], p - 2, p)
-            quo = [0] * (len(r0) - len(r1) + 1) if len(r0) >= len(r1) else []
-            r = r0[:]
-            while len(r) >= len(r1) and r:
-                c = r[-1] * inv_lead % p
-                shift = len(r) - len(r1)
-                quo[shift] = c
-                for j, b in enumerate(r1):
-                    r[shift + j] = (r[shift + j] - c * b) % p
-                r.pop()
-                _pl_trim(r)
-            new_s = [x % p for x in _pl_trim(_sub_poly(s0, _pl_mul(quo, s1, p), p))]
-            r0, r1, s0, s1 = r1, r, s1, new_s
-        # r0 is the gcd, a nonzero constant since the modulus is irreducible
-        c_inv = pow(r0[0], p - 2, p)
-        inv = [x * c_inv % p for x in s0]
-        inv += [0] * (self.k - len(inv))
-        return tuple(inv[: self.k])
+        return self.rpow(a, self.q - 2)
 
     def rep_key(self, a):
         return a
@@ -506,16 +414,6 @@ class ExtensionField(FieldCtx):
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"GF({self.p}^{self.k})"
-
-
-def _sub_poly(f: list[int], g: list[int], p: int) -> list[int]:
-    n = max(len(f), len(g))
-    out = [0] * n
-    for i in range(n):
-        a = f[i] if i < len(f) else 0
-        b = g[i] if i < len(g) else 0
-        out[i] = (a - b) % p
-    return _pl_trim(out)
 
 
 class QuadraticExtension(FieldCtx):

@@ -2,6 +2,9 @@
 factorization oracle (square-free / distinct-degree / equal-degree splitting
 with a seeded RNG, so identical runs give identical output).
 
+Products and division go to the vector kernel that ``_kernels.kernel_for``
+picks for the field; sums, derivatives and evaluation stay coefficient-wise.
+
 Coefficients run low degree to high; the zero polynomial has an empty
 coefficient tuple and degree ``-inf``.
 """
@@ -28,7 +31,7 @@ class Poly:
     def __init__(self, ctx: FieldCtx, coeffs=()):
         elems = [c if isinstance(c, FieldElement) else ctx.elem(c) for c in coeffs]
         for c in elems:
-            if c.ctx != ctx:
+            if c.ctx is not ctx and c.ctx != ctx:
                 raise DomainError("coefficient from a different field")
         while elems and not elems[-1]:
             elems.pop()
@@ -124,18 +127,8 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_ctx(other)
-        if self.is_zero or other.is_zero:
-            return Poly.zero(self.ctx)
-        ctx = self.ctx
-        a = [c.rep for c in self.coeffs]
-        b = [c.rep for c in other.coeffs]
-        out = [ctx.zero_rep] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x == ctx.zero_rep:
-                continue
-            for j, y in enumerate(b):
-                out[i + j] = ctx.radd(out[i + j], ctx.rmul(x, y))
-        return Poly(ctx, [FieldElement(ctx, r) for r in out])
+        ker = _kernels.kernel_for(self.ctx, len(self.coeffs) + len(other.coeffs))
+        return _from_vec(ker, ker.mul(_vec(ker, self), _vec(ker, other)))
 
     __rmul__ = __mul__
 
@@ -161,26 +154,9 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_ctx(other)
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        if self.degree < other.degree:
-            return Poly.zero(self.ctx), self
-        ctx = self.ctx
-        lb = len(other.coeffs)
-        inv = ctx.rinv(other.coeffs[-1].rep)
-        bm = [ctx.rmul(c.rep, inv) for c in other.coeffs]
-        r = [c.rep for c in self.coeffs]
-        qv = [ctx.zero_rep] * (len(r) - lb + 1)
-        for i in range(len(qv) - 1, -1, -1):
-            c = r[i + lb - 1]
-            if c != ctx.zero_rep:
-                qv[i] = c
-                for j in range(lb - 1):
-                    r[i + j] = ctx.rsub(r[i + j], ctx.rmul(c, bm[j]))
-                r[i + lb - 1] = ctx.zero_rep
-        q = Poly(ctx, [FieldElement(ctx, ctx.rmul(c, inv)) for c in qv])
-        rem = Poly(ctx, [FieldElement(ctx, c) for c in r[: lb - 1]])
-        return q, rem
+        ker = _kernels.kernel_for(self.ctx, len(self.coeffs))
+        q, r = ker.pdivmod(_vec(ker, self), _vec(ker, other))
+        return _from_vec(ker, q), _from_vec(ker, r)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -221,6 +197,17 @@ class Poly:
         return f"Poly({self.ctx!r}, {self})"
 
 
+def _vec(ker, f: Poly):
+    """The kernel vector of f's coefficients."""
+    return ker.from_reps([c.rep for c in f.coeffs])
+
+
+def _from_vec(ker, v) -> Poly:
+    """The Poly with a kernel vector's coefficients."""
+    ctx = ker.ctx
+    return Poly(ctx, [FieldElement(ctx, r) for r in ker.to_reps(v)])
+
+
 def poly(ctx: FieldCtx, coeffs) -> Poly:
     """Convenience constructor; accepts ints, Fractions, digit tuples."""
     return Poly(ctx, coeffs)
@@ -243,30 +230,6 @@ def poly_str(f: Poly, var: str = "y") -> str:
             xs = var if i == 1 else f"{var}^{i}"
             parts.append(xs if c == f.ctx.one else f"{cs}*{xs}")
     return " + ".join(parts)
-
-
-def poly_gcd(f: Poly, g: Poly) -> Poly:
-    """Monic greatest common divisor (zero if both arguments are zero)."""
-    f._check_ctx(g)
-    while not g.is_zero:
-        f, g = g, f % g
-    return f if f.is_zero else f.monic()
-
-
-def powmod(f: Poly, e: int, m: Poly) -> Poly:
-    """f^e modulo m by square-and-multiply."""
-    if e < 0:
-        raise DomainError("powmod exponent must be nonnegative")
-    if m.degree < 1:
-        raise DomainError("powmod modulus must have degree >= 1")
-    out = Poly.one(f.ctx) % m
-    base = f % m
-    while e:
-        if e & 1:
-            out = (out * base) % m
-        base = (base * base) % m
-        e >>= 1
-    return out
 
 
 def decompose_by(G: Poly, N: Poly) -> Poly | None:
@@ -366,14 +329,10 @@ def factorize(f: Poly, seed: int | None = None) -> Factorization:
     if f.degree == 0:
         return Factorization(f.coeffs[0], [])
     ker = _kernels.kernel_for(ctx, int(f.degree))
-    v = ker.from_reps([c.rep for c in f.coeffs])
-    lead_rep, vm = ker.make_monic(v)
+    lead_rep, vm = ker.make_monic(_vec(ker, f))
     seed = DEFAULT_SEED if seed is None else seed
     raw = ker.factor_monic(vm, random.Random(seed))
-    factors = [
-        (Poly(ctx, [FieldElement(ctx, r) for r in ker.to_reps(vec)]), m)
-        for vec, m in raw
-    ]
+    factors = [(_from_vec(ker, vec), m) for vec, m in raw]
     fact = Factorization(FieldElement(ctx, lead_rep), factors)
     if sum(g.degree * m for g, m in fact.factors) != f.degree:
         raise InvariantError(
@@ -387,8 +346,7 @@ def is_irreducible(f: Poly) -> bool:
     if f.degree < 1:
         return False
     ker = _kernels.kernel_for(f.ctx, int(f.degree))
-    v = ker.from_reps([c.rep for c in f.coeffs])
-    return ker.is_irreducible(ker.make_monic(v)[1])
+    return ker.is_irreducible(ker.make_monic(_vec(ker, f))[1])
 
 
 def roots_in_field(f: Poly, seed: int | None = None) -> list[FieldElement]:
@@ -399,9 +357,8 @@ def roots_in_field(f: Poly, seed: int | None = None) -> list[FieldElement]:
         return []
     ctx = f.ctx
     ker = _kernels.kernel_for(ctx, int(f.degree))
-    v = ker.from_reps([c.rep for c in f.coeffs])
     rng = random.Random(DEFAULT_SEED if seed is None else seed)
-    reps = ker.distinct_roots(ker.make_monic(v)[1], rng)
+    reps = ker.distinct_roots(ker.make_monic(_vec(ker, f))[1], rng)
     out = []
     for rep in sorted(reps, key=ctx.rep_key):
         root = FieldElement(ctx, rep)

@@ -6,9 +6,11 @@ implementation under test.
 """
 
 import itertools
+import math
 import random
 
 import pytest
+import sympy
 
 from gsfactor.errors import DomainError
 from gsfactor.ffield import (
@@ -78,6 +80,26 @@ class TestConstruction:
             break
         assert make_field(3, 3).modulus == found
 
+    def test_extension_moduli_against_sympy(self):
+        # every extension field with q <= 2000: the modulus is irreducible and
+        # every earlier candidate (same order, nonzero constant term) is not
+        y = sympy.symbols("y")
+
+        def irreducible(c, p):
+            return sympy.Poly(list(reversed(c)), y, modulus=p).is_irreducible
+
+        for p in sympy.primerange(3, math.isqrt(2000) + 1):
+            for k in range(2, 12):
+                if p**k > 2000:
+                    break
+                modulus = make_field(p, k).modulus
+                assert modulus[-1] == 1 and irreducible(modulus, p)
+                for tail in itertools.product(range(p), repeat=k):
+                    if tail + (1,) == modulus:
+                        break
+                    if tail[0]:
+                        assert not irreducible(tail + (1,), p), (p, k, tail)
+
 
 class TestCanonicalOrder:
     def test_prime_order_is_integer_order(self):
@@ -131,6 +153,9 @@ class TestArithmetic:
         a = F.elem(3)
         assert a ** -1 == a.inverse()
         assert a ** -3 * a ** 3 == F.one
+        for E in (make_field(3, 2), make_field(5, 3)):
+            for b in list(elements(E))[1:]:
+                assert b * b.inverse() == E.one
 
     def test_extension_arithmetic_against_polynomials(self):
         # multiply digit tuples as polynomials mod (t^2 + 1) and mod 3 by hand
@@ -145,9 +170,9 @@ class TestArithmetic:
             assert (F9.elem(a) * F9.elem(b)).rep == (c0, c1)
 
     def test_division_by_zero(self):
-        F = make_field(13)
-        with pytest.raises(ZeroDivisionError):
-            F.one / F.zero
+        for F in (make_field(13), make_field(5, 3)):
+            with pytest.raises(ZeroDivisionError):
+                F.one / F.zero
 
     def test_cross_field_mixing_rejected(self):
         a = make_field(13).one

@@ -9,12 +9,14 @@ ladder it replaces, and the size rule that chooses between them at its edge.
 
 import math
 import random
+import time
 
 import pytest
 import sympy
 
 from gsfactor import _kernels
 from gsfactor._kernels import DigitKernel, ModPKernel, ObjectKernel, kernel_for
+from gsfactor.errors import InvariantError
 from gsfactor.ffield import make_field
 from gsfactor.polyring import Poly, factorize
 
@@ -138,6 +140,17 @@ class TestStages:
                 assert ker.to_reps(part) == ref.to_reps(want[d])
             assert ker.is_irreducible(ker.from_reps(ref.to_reps(factors[-1])))
             assert not ker.is_irreducible(ker.from_reps(ref.to_reps(want[8])))
+
+    def test_failed_draws_raise(self, monkeypatch):
+        # a powmod that always returns 1 never splits: the cap turns the
+        # endless draw loop into an InvariantError naming q, deg f and d
+        ker = ModPKernel(FIELDS["F199"])
+        monkeypatch.setattr(ModPKernel, "powmod", lambda self, v, e, red: self.one())
+        f = ker.mul(ker.from_reps([3, 1]), ker.from_reps([5, 1]))
+        start = time.perf_counter()
+        with pytest.raises(InvariantError, match=r"q=199, deg f=2, d=1"):
+            ker.equal_degree_split(f, 1, random.Random(1))
+        assert time.perf_counter() - start < 1.0
 
 
 class TestFrobenius:

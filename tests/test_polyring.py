@@ -23,9 +23,7 @@ from gsfactor.polyring import (
     factorize,
     is_irreducible,
     poly,
-    poly_gcd,
     poly_str,
-    powmod,
     roots_in_field,
 )
 
@@ -70,10 +68,14 @@ class TestPolyBasics:
             g = rand_poly(F13, rng.randrange(0, 7), rng)
             sf = sympy.Poly([c.rep for c in reversed(f.coeffs)], y, modulus=13)
             sg = sympy.Poly([c.rep for c in reversed(g.coeffs)], y, modulus=13)
+            q, r = divmod(f, g)
+            sq, sr = sf.div(sg)
             for ours, theirs in (
                 (f + g, sf + sg),
                 (f - g, sf - sg),
                 (f * g, sf * sg),
+                (q, sq),
+                (r, sr),
             ):
                 got = [c.rep for c in reversed(ours.coeffs)] or [0]
                 want = [c % 13 for c in theirs.all_coeffs()]
@@ -86,8 +88,11 @@ class TestPolyBasics:
         assert (x - F13.elem(5)).coeff(0).rep == 8
 
     def test_divmod_invariant(self):
+        # one field per kernel route: ModPKernel (F_13), DigitKernel (F_9,
+        # F_125), ObjectKernel (quadratic extension, and p past the int64 guard)
         rng = random.Random(3)
-        for F in (F13, make_field(3, 2)):
+        fields = (F13, make_field(3, 2), make_field(5, 3), F13.ext, make_field(2**40 + 15))
+        for F in fields:
             for _ in range(30):
                 f = rand_poly(F, rng.randrange(0, 8), rng)
                 g = rand_poly(F, rng.randrange(1, 5), rng)
@@ -112,21 +117,34 @@ class TestPolyBasics:
 
 
 class TestGcdPowmod:
+    """gcd and powmod live on the kernels; checked here over F_13 against
+    sympy and against Poly arithmetic."""
+
+    KER = _kernels.kernel_for(F13, 64)
+
+    def vec(self, f):
+        return self.KER.from_reps([c.rep for c in f.coeffs])
+
     def test_gcd_against_sympy(self):
+        ker = self.KER
         y = sympy.symbols("y")
         rng = random.Random(4)
         for _ in range(25):
             f = rand_poly(F13, rng.randrange(1, 7), rng)
             g = rand_poly(F13, rng.randrange(1, 7), rng)
-            ours = poly_gcd(f, g)
+            ours = ker.to_reps(ker.gcd(self.vec(f), self.vec(g)))
             sf = sympy.Poly([c.rep for c in reversed(f.coeffs)], y, modulus=13)
             sg = sympy.Poly([c.rep for c in reversed(g.coeffs)], y, modulus=13)
             theirs = sf.gcd(sg).monic()
-            assert [c.rep for c in reversed(ours.coeffs)] == [
-                c % 13 for c in theirs.all_coeffs()
-            ]
+            assert ours[::-1] == [c % 13 for c in theirs.all_coeffs()]
 
     def test_powmod_matches_naive(self):
+        ker = self.KER
+
+        def powmod(f, e, m):
+            v = ker.powmod(self.vec(f), e, ker.reducer(self.vec(m.monic())))
+            return Poly(F13, ker.to_reps(v))
+
         x = Poly.x(F13)
         m = x**2 - 1
         assert powmod(x, 13, m) == (x**13) % m == x
