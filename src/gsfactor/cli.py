@@ -29,15 +29,12 @@ from .dickson import DicksonCtx, build_ctx
 from .errors import DomainError, InvariantError
 from .factorizer import (
     TABLE_DEGREES,
-    CaseKind,
-    classify,
+    _closed_form,
+    _norm_class,
     constant_terms,
     cubic_norm_complement,
     degree_table_check,
-    factor_closed_form,
-    is_irreducible_gs,
     irreducible_s_values,
-    sign_class,
     verify_against_oracle,
 )
 from .ffield import FieldCtx, _factor_int, elements, make_field, make_field_q, quad_char
@@ -114,9 +111,7 @@ def _odd_prime_powers(limit: int):
 
 def _case_report(ctx: DicksonCtx, s) -> tuple:
     """(JSON record, Factorization, constant terms or None) for one s."""
-    tag = classify(ctx, s)
-    fac = factor_closed_form(ctx, s)
-    ms = None
+    s, tag, fac, ms = _closed_form(ctx, s)
     rec = {
         "s": elem_json(s),
         "case": tag.kind.value,
@@ -126,12 +121,11 @@ def _case_report(ctx: DicksonCtx, s) -> tuple:
         "b_set": None,
         "factorization": fac.to_json(),
     }
-    if tag.kind is CaseKind.DEGREE_E:
-        e, ms = constant_terms(ctx, s)
+    if ms is not None:
+        nc = _norm_class(ctx, s, tag.e, ms)
         rec["constant_terms"] = [elem_json(m) for m in ms]
-        residues = {quad_char(m) for m in ms}
-        rec["residue"] = residues.pop() if len(residues) == 1 else None
-        rec["b_set"] = sign_class(ctx, s, e).value
+        rec["residue"] = nc.residue
+        rec["b_set"] = nc.membership.value
     return rec, fac, ms
 
 
@@ -169,6 +163,14 @@ def _verify_one(field: FieldCtx, seed: int, out, fmt: str, prefix: str = "") -> 
         s for s in elements(field) if not verify_against_oracle(ctx, s, seed=seed)
     ]
     ok = field.q - len(mismatches)
+    for s in mismatches:
+        sj = json.dumps(elem_json(s), separators=(",", ":"))
+        print(
+            f"stage=verify q={field.q} s={sj} seed={seed} replay: python3 -c "
+            '"from gsfactor import build_ctx, make_field_q, verify_against_oracle as v; '
+            f'print(v(build_ctx(make_field_q({field.q})), {sj}, seed={seed}))"',
+            file=sys.stderr,
+        )
     if fmt == "json":
         _emit(
             {
@@ -242,28 +244,27 @@ def _cmd_residuacity(args, out) -> int:
     ctx = build_ctx(field)
     s = _parse_elem(field, s_literal)
     e, ms = constant_terms(ctx, s)
-    cls = sign_class(ctx, s, e)
+    nc = _norm_class(ctx, s, e, ms)
     residues = [quad_char(m) for m in ms]
-    shared = residues[0] if len(set(residues)) == 1 else None
     if args.format == "json":
         _emit(
             {
                 "s": elem_json(s),
                 "d": e,
-                "b_set": cls.value,
+                "b_set": nc.membership.value,
                 "norms": [elem_json(m) for m in ms],
                 "residues": residues,
-                "residue": shared,
+                "residue": nc.residue,
             },
             out,
         )
         return 0
-    print(f"s = {s}: sign class {cls.value} with factor degree d = {e}", file=out)
+    print(f"s = {s}: sign class {nc.membership.value} with factor degree d = {e}", file=out)
     print("constant terms: " + ", ".join(str(m) for m in ms), file=out)
     print(
         "residues: "
         + ", ".join(str(r) for r in residues)
-        + (f" (uniform: {shared})" if shared is not None else " (mixed)"),
+        + (f" (uniform: {nc.residue})" if nc.residue is not None else " (mixed)"),
         file=out,
     )
     return 0

@@ -123,23 +123,26 @@ def factor_shape_poly(profile) -> Poly:
     return acc
 
 
-def _shape_preimages(ctx: DicksonCtx, s: FieldElement, shape: Poly) -> list:
-    """The constants m with shape - m dividing g_s, each necessarily simple."""
-    lead = ctx.tau * ctx.tau / 2
-    h = decompose_by(build_g(ctx, s) / lead, shape)
+def _shape_preimages(ctx: DicksonCtx, s: FieldElement, profile) -> tuple:
+    """The shape of s's profile and the E/e simple offsets m with shape - m | g_s."""
+    shape = factor_shape_poly(profile)
+    h = decompose_by(build_g(ctx, s).monic(), shape)
     where = f"q={ctx.field.q}, s={s}"
     if h is None:
         raise InvariantError(f"the family polynomial is not composed of the shape ({where})")
     rs = roots_in_field(h)
     if len(rs) != h.degree or len(set(r.rep for r in rs)) != len(rs):
         raise InvariantError(f"shape offsets are not simple field roots ({where})")
-    return sorted(rs, key=lambda r: r.key())
+    if len(rs) != ctx.E // profile.e:
+        raise InvariantError(f"wrong number of shape offsets ({where})")
+    return shape, tuple(sorted(rs, key=lambda r: r.key()))
 
 
-def factor_closed_form(ctx: DicksonCtx, s) -> Factorization:
-    """Factor g_s into irreducibles without any polynomial factorization."""
+def _closed_form(ctx: DicksonCtx, s) -> tuple:
+    """One closed-form pass: (s, case tag, factorization, offsets or None)."""
     field = ctx.field
     s, tag, profile = _classify(ctx, s)
+    ms = None
     x = Poly.x(field)
     one = field.one
     half = one / 2
@@ -180,15 +183,20 @@ def factor_closed_form(ctx: DicksonCtx, s) -> Factorization:
             t = s + w
             put(x * x - (1 + s * w) * x + t * t / 4)
     else:
-        shape = factor_shape_poly(profile)
-        for m in _shape_preimages(ctx, s, shape):
+        shape, ms = _shape_preimages(ctx, s, profile)
+        for m in ms:
             put(shape - m)
 
     lead = ctx.tau * ctx.tau / 2
     result = Factorization(lead, merged.values())
     if result.expand() != build_g(ctx, s):
         raise InvariantError(f"closed form for q={ctx.field.q}, s={s} failed reconstruction")
-    return result
+    return s, tag, result, ms
+
+
+def factor_closed_form(ctx: DicksonCtx, s) -> Factorization:
+    """Factor g_s into irreducibles without any polynomial factorization."""
+    return _closed_form(ctx, s)[2]
 
 
 def constant_terms(ctx: DicksonCtx, s):
@@ -197,10 +205,7 @@ def constant_terms(ctx: DicksonCtx, s):
     s, tag, profile = _classify(ctx, s)
     if tag.kind is not CaseKind.DEGREE_E:
         raise DomainError("constant terms are defined only in the degree-e case")
-    ms = _shape_preimages(ctx, s, factor_shape_poly(profile))
-    if len(ms) != ctx.E // profile.e:
-        raise InvariantError(f"wrong number of shape offsets (q={ctx.field.q}, s={s})")
-    return profile.e, tuple(ms)
+    return profile.e, _shape_preimages(ctx, s, profile)[1]
 
 
 def is_irreducible_gs(ctx: DicksonCtx, s) -> bool:
@@ -272,6 +277,13 @@ def sign_class(ctx: DicksonCtx, s, d: int) -> SignClass:
     return SignClass.NEITHER
 
 
+def _norm_class(ctx: DicksonCtx, s: FieldElement, d: int, norms) -> NormClass:
+    """Sign class of s for degree d, and the character the norms share."""
+    residues = {quad_char(m) for m in norms}
+    residue = residues.pop() if len(residues) == 1 else None
+    return NormClass(s, d, sign_class(ctx, s, d), norms, residue)
+
+
 def norm_residuacity(ctx: DicksonCtx, d: int) -> list:
     """Constant-term character data for every s whose factors have degree d.
 
@@ -283,27 +295,21 @@ def norm_residuacity(ctx: DicksonCtx, d: int) -> list:
     field = ctx.field
     out = []
     for s in elements(field):
-        if not s or s == field.one or s == -field.one:
+        s, tag, profile = _classify(ctx, s)
+        if tag.e != d:
             continue
-        if quad_char(1 - s * s) != 1:
-            continue
-        e, ms = constant_terms(ctx, s)
-        if e != d:
-            continue
-        cls = sign_class(ctx, s, d)
-        if cls is SignClass.NEITHER:
+        nc = _norm_class(ctx, s, d, _shape_preimages(ctx, s, profile)[1])
+        if nc.membership is SignClass.NEITHER:
             raise InvariantError(
                 f"degree-d parameter outside both sign classes (q={field.q}, s={s})"
             )
-        residues = {quad_char(m) for m in ms}
-        residue = residues.pop() if len(residues) == 1 else None
         if d % 2 == 1:
-            expected = -1 if cls is SignClass.PLUS else 1
-            if residue != expected:
+            expected = -1 if nc.membership is SignClass.PLUS else 1
+            if nc.residue != expected:
                 raise InvariantError(
                     f"norm residues for q={field.q}, s={s} violate the odd-degree law"
                 )
-        out.append(NormClass(s=s, d=d, membership=cls, norms=ms, residue=residue))
+        out.append(nc)
     return out
 
 

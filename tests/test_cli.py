@@ -1,10 +1,26 @@
 """CLI contract: parsing, output shapes, exit codes."""
 
 import json
+import os
+import shlex
+import subprocess
+from pathlib import Path
 
 import pytest
 
-from gsfactor import cli
+from gsfactor import build_ctx, cli, factorizer, make_field_q, recurrence
+from gsfactor.factorizer import (
+    CaseKind,
+    classify,
+    constant_terms,
+    factor_closed_form,
+    norm_residuacity,
+    sign_class,
+)
+from gsfactor.ffield import elements, quad_char
+from gsfactor.polyring import elem_json
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -68,6 +84,29 @@ class TestFactor:
         code, _, err = run_cli(capsys, "factor", "--field", "q=17", "q=13", "s=1")
         assert code == 2 and "more than once" in err
 
+    def test_each_quantity_computed_once(self, capsys, monkeypatch):
+        ctx = build_ctx(make_field_q(13))
+        kinds = [classify(ctx, s).kind for s in elements(ctx.field)]
+        degree_e = kinds.count(CaseKind.DEGREE_E)
+        calls = {"build_profile": 0, "decompose_by": 0}
+
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(recurrence, "build_profile")
+        counted(factorizer, "decompose_by")
+        assert run_cli(capsys, "factor", "q=13", "s=6")[0] == 0
+        assert calls == {"build_profile": 1, "decompose_by": 1}
+        calls.update(build_profile=0, decompose_by=0)
+        assert run_cli(capsys, "atlas", "q=13")[0] == 0
+        assert calls == {"build_profile": degree_e, "decompose_by": degree_e}
+
 
 class TestVerify:
     def test_golden_line(self, capsys):
@@ -108,9 +147,17 @@ class TestVerify:
 
     def test_mismatch_exits_3(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "verify_against_oracle", lambda *a, **k: False)
-        code, out, _ = run_cli(capsys, "verify", "q=13")
+        code, out, err = run_cli(capsys, "verify", "q=13", "--seed", "99")
         assert code == 3
         assert "0/13 values of s verified" in out
+        lines = err.splitlines()
+        assert len(lines) == 13
+        for s, line in enumerate(lines):
+            assert line.startswith(f"stage=verify q=13 s={s} seed=99 replay: ")
+        replay = shlex.split(lines[6].split("replay: ", 1)[1])
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        done = subprocess.run(replay, env=env, capture_output=True, text=True)
+        assert done.returncode == 0 and done.stdout == "True\n"
 
     def test_needs_field_or_max_q(self, capsys):
         code, _, err = run_cli(capsys, "verify")
@@ -135,6 +182,32 @@ class TestAtlas:
                 "factorization",
             }
             assert json.dumps(rec) == line  # byte-identical re-emission
+
+    @pytest.mark.parametrize("q", [13, 19, 27])
+    def test_records_match_public_functions(self, capsys, q):
+        ctx = build_ctx(make_field_q(q))
+        code, out, _ = run_cli(capsys, "atlas", f"q={q}")
+        assert code == 0
+        records = [json.loads(line) for line in out.splitlines()]
+        assert len(records) == q
+        for s, rec in zip(elements(ctx.field), records):
+            tag = classify(ctx, s)
+            expected = {
+                "s": elem_json(s),
+                "case": tag.kind.value,
+                "e": tag.e,
+                "constant_terms": None,
+                "residue": None,
+                "b_set": None,
+                "factorization": factor_closed_form(ctx, s).to_json(),
+            }
+            if tag.kind is CaseKind.DEGREE_E:
+                e, ms = constant_terms(ctx, s)
+                residues = [quad_char(m) for m in ms]
+                expected["constant_terms"] = [elem_json(m) for m in ms]
+                expected["residue"] = residues[0] if len(set(residues)) == 1 else None
+                expected["b_set"] = sign_class(ctx, s, e).value
+            assert rec == expected
 
     def test_deep_fields_only_in_degree_e(self, capsys):
         _, out, _ = run_cli(capsys, "atlas", "q=13")
@@ -183,6 +256,30 @@ class TestResiduacity:
             "residues": [-1, -1],
             "residue": -1,
         }
+
+    @pytest.mark.parametrize("q", [13, 19, 27])
+    def test_matches_norm_residuacity(self, capsys, q):
+        ctx = build_ctx(make_field_q(q))
+        by_degree = {}
+        checked = 0
+        for s in elements(ctx.field):
+            e = classify(ctx, s).e
+            if e is None:
+                continue
+            if e not in by_degree:
+                by_degree[e] = {nc.s: nc for nc in norm_residuacity(ctx, e)}
+            nc = by_degree[e][s]
+            literal = ",".join(map(str, s.rep)) if q == 27 else str(s.rep)
+            code, out, _ = run_cli(
+                capsys, "residuacity", f"q={q}", f"s={literal}", "--format", "json"
+            )
+            rec = json.loads(out)
+            assert code == 0 and rec["s"] == elem_json(s) and rec["d"] == e
+            assert rec["b_set"] == nc.membership.value
+            assert rec["norms"] == [elem_json(m) for m in nc.norms]
+            assert rec["residue"] == nc.residue
+            checked += 1
+        assert checked == sum(len(v) for v in by_degree.values()) > 0
 
     def test_requires_degree_e_parameter(self, capsys):
         code, _, err = run_cli(capsys, "residuacity", "q=13", "s=1")
