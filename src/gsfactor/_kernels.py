@@ -13,18 +13,23 @@ speed:
 * ``ObjectKernel``-- any context, plain lists of representatives; slow but
   it is the reference the fast kernels are tested against.
 
+The two numpy kernels share ``_ArrayKernel``, which holds every primitive
+whose code does not depend on the shape of one coefficient (an int, or a
+row of k digits).
+
 Vectors are dense, low-degree-first, always trimmed (no trailing zeros);
-the zero polynomial is the empty vector.  Repeated reduction by one modulus
-m of degree n goes through a reducer: one product with a table whose row j
-is x^(n+j) mod m, or a Newton inverse above ``TABLE_MAX_DEGREE``.
+the zero polynomial is the empty vector.  Everything done modulo one fixed
+monic m of degree n goes through one ``_Reducer``: reduction, as one
+product with a table whose row j is x^(n+j) mod m (or a Newton inverse
+above ``TABLE_MAX_DEGREE``), and the q-power map.
 
 Distinct-degree splitting, equal-degree splitting and the Rabin test all
-step through q-th powers modulo one square-free f.  They share one
-primitive, ``Kernel.frobenius(f)``: the q-power map as a product with the
-Frobenius matrix of f (row i is x^(q*i) mod f), built once per square-free
-part and restricted to each piece that equal-degree splitting splits (von
-zur Gathen & Shoup, Comput. Complexity 2, 1992; Kaltofen & Shoup, Math.
-Comp. 67, 1998).
+step through q-th powers modulo one square-free f.  They share the
+reducer's ``frobenius(v)``: the q-power map as a product with the Frobenius
+matrix of f (row i is x^(q*i) mod f), built once per square-free part and
+restricted to each piece that equal-degree splitting splits (von zur
+Gathen & Shoup, Comput. Complexity 2, 1992; Kaltofen & Shoup, Math. Comp.
+67, 1998).
 """
 
 from __future__ import annotations
@@ -52,7 +57,8 @@ MAX_FAILED_DRAWS = 64
 
 
 class _Reducer:
-    """Reduction modulo one fixed monic polynomial m of degree n >= 1.
+    """Arithmetic modulo one fixed monic polynomial m of degree n >= 1:
+    reduction and the q-power map, each set up on first use.
 
     Up to ``TABLE_MAX_DEGREE``, f mod m is one product: the low n
     coefficients of f plus its high coefficients times the table whose row j
@@ -60,7 +66,13 @@ class _Reducer:
     longer input arrives; each row is x times the one before, its top
     coefficient folded back through row 0.  Above that degree the quotient
     comes from a Newton inverse of the reversed modulus, likewise computed on
-    first use and extended for longer quotients."""
+    first use and extended for longer quotients.
+
+    On F_q[x]/(m) the q-power map v -> v^q is F_q-linear: v^q = sum_i v_i
+    x^(q*i), one product of v with the Frobenius matrix.  The matrix is built
+    on the first call; where it would pass ``FROBENIUS_MAX_ENTRIES`` the map
+    is the square-and-multiply ladder instead.  ``restrict`` gives the same
+    object modulo a divisor of m."""
 
     def __init__(self, kernel: "Kernel", m):
         self.kernel = kernel
@@ -70,6 +82,8 @@ class _Reducer:
         self.table = None
         self.minv = None
         self.prec = 0
+        self.matrix = None
+        self.use_matrix = kernel.frobenius_fits(self.n)
 
     def _grow(self, rows: int):
         """Make the table hold at least ``rows`` rows (at least n - 1, enough
@@ -103,48 +117,44 @@ class _Reducer:
         self._grow(len(mat[0]) - self.n)
         return self.kernel.fold_rows(mat, self.table)
 
+    def frobenius_matrix(self):
+        """Matrix whose row i is x^(q*i) mod m, built on the first call.
 
-class _Frobenius:
-    """The q-power map v -> v^q modulo one fixed monic f of degree n.
-
-    On F_q[x]/(f) the map is F_q-linear: v^q = sum_i v_i x^(q*i), one
-    product of v with the Frobenius matrix.  The matrix is built on the
-    first call; where it would pass ``FROBENIUS_MAX_ENTRIES`` the map is the
-    square-and-multiply ladder instead.  Inputs have degree below n.
-    ``restrict`` gives the map modulo a divisor of f.
-    """
-
-    def __init__(self, kernel: "Kernel", f, use_matrix: bool = True):
-        self.kernel = kernel
-        self.red = kernel.reducer(f)
-        self.x = self.red.reduce(kernel.xvec())
-        self.matrix = None
-        self.use_matrix = use_matrix and kernel.frobenius_fits(self.red.n)
-
-    def _matrix(self):
+        The rows are powers of x^q; each comes from the previous one through
+        the matrix of multiplication by x^q (row j is x^j * x^q mod m), which
+        takes one shift-and-reduce step per row."""
         if self.matrix is None:
-            self.matrix = self.kernel.frobenius_matrix(self.red)
+            ker, n, x = self.kernel, self.n, self.kernel.xvec()
+            mult = [ker.powmod(x, ker.ctx.q, self)]
+            while len(mult) < n:
+                mult.append(self.reduce(ker.mul(mult[-1], x)))
+            mult = ker.to_matrix(mult, n)
+            rows = [ker.one()]
+            while len(rows) < n:
+                rows.append(ker.apply_matrix(mult, rows[-1]))
+            self.matrix = ker.to_matrix(rows, n)
         return self.matrix
 
-    def __call__(self, v):
+    def frobenius(self, v):
+        """v^q mod m, for v of degree below n."""
         ker = self.kernel
         if not self.use_matrix:
-            return ker.powmod(v, ker.ctx.q, self.red)
-        return self.red.reduce(ker.apply_matrix(self._matrix(), v))
+            return ker.powmod(v, ker.ctx.q, self)
+        return self.reduce(ker.apply_matrix(self.frobenius_matrix(), v))
 
-    def restrict(self, g) -> "_Frobenius":
-        """The map modulo a monic divisor g of f.  Its matrix is the first
-        deg g rows of this one, reduced modulo g in one table product; above
-        ``TABLE_MAX_DEGREE`` the rows stay unreduced and each output is
+    def restrict(self, g) -> "_Reducer":
+        """The object for a monic divisor g of m.  Its Frobenius matrix is the
+        first deg g rows of this one, reduced modulo g in one table product;
+        above ``TABLE_MAX_DEGREE`` the rows stay unreduced and each output is
         reduced instead.  The ladder stays a ladder."""
         ker = self.kernel
-        if ker.deg(g) == self.red.n:
+        if ker.deg(g) == self.n:
             return self
-        if not self.use_matrix:
-            return _Frobenius(ker, g, use_matrix=False)
-        child = _Frobenius(ker, g)
-        rows = self._matrix()[: child.red.n]
-        child.matrix = child.red.reduce_rows(rows) if child.red.tabled else rows
+        child = _Reducer(ker, g)
+        child.use_matrix = self.use_matrix
+        if self.use_matrix:
+            rows = self.frobenius_matrix()[: child.n]
+            child.matrix = child.reduce_rows(rows) if child.tabled else rows
         return child
 
 
@@ -154,20 +164,20 @@ class Kernel:
     ctx: FieldCtx
     width = 1  # matrix entries per field element (digits for DigitKernel)
 
-    # -- primitives supplied by subclasses: from_reps, to_reps, eq, add,
-    #    sub, neg, mul, scale, lead_rep, pad, trunc, pdivmod, deriv --------
+    # -- primitives supplied by subclasses: from_reps, to_reps, trim, eq,
+    #    add, sub, neg, mul, scale, lead_rep, pad, pdivmod, deriv ----------
 
     def deg(self, v) -> int:
         return len(v) - 1
-
-    def is_one(self, v) -> bool:
-        return self.deg(v) == 0 and self.lead_rep(v) == self.ctx.one_rep
 
     def one(self):
         return self.from_reps([self.ctx.one_rep])
 
     def xvec(self):
         return self.from_reps([self.ctx.zero_rep, self.ctx.one_rep])
+
+    def trunc(self, v, n: int):
+        return self.trim(v[:n])
 
     def reverse_to(self, v, length: int):
         return self.trim(self.pad(v, length)[::-1])
@@ -206,6 +216,7 @@ class Kernel:
         return v
 
     def reducer(self, m) -> _Reducer:
+        """Reduction and the q-power map modulo the monic m (see ``_Reducer``)."""
         return _Reducer(self, m)
 
     def powmod(self, v, e: int, red: _Reducer):
@@ -222,10 +233,6 @@ class Kernel:
         return out
 
     # -- the Frobenius map ----------------------------------------------------
-
-    def frobenius(self, f) -> _Frobenius:
-        """The q-power map modulo the monic f (see ``_Frobenius``)."""
-        return _Frobenius(self, f)
 
     def frobenius_fits(self, n: int) -> bool:
         """Whether the n x n Frobenius matrix stays within the memory bound."""
@@ -250,23 +257,6 @@ class Kernel:
         """``fold`` of each row of a matrix, as an n-column matrix."""
         rows = [self.fold(self.from_reps(self.to_reps(r)), table) for r in mat]
         return self.to_matrix(rows, len(table[0]))
-
-    def frobenius_matrix(self, red: _Reducer):
-        """Matrix whose row i is x^(q*i) mod f, for f = red.m.
-
-        The rows are powers of x^q; each comes from the previous one through
-        the matrix of multiplication by x^q (row j is x^j * x^q mod f), which
-        takes one shift-and-reduce step per row."""
-        n = red.n
-        x = self.xvec()
-        mult = [self.powmod(x, self.ctx.q, red)]
-        while len(mult) < n:
-            mult.append(red.reduce(self.mul(mult[-1], x)))
-        mult = self.to_matrix(mult, n)
-        rows = [self.one()]
-        while len(rows) < n:
-            rows.append(self.apply_matrix(mult, rows[-1]))
-        return self.to_matrix(rows, n)
 
     def to_matrix(self, rows, n: int):
         """Pack vectors of degree below n as the rows of a matrix."""
@@ -317,16 +307,16 @@ class Kernel:
             n_mult *= self.ctx.p
         return out
 
-    def distinct_degree_parts(self, f, frob: _Frobenius | None = None):
+    def distinct_degree_parts(self, f, red: _Reducer | None = None):
         """Monic squarefree f -> [(product of degree-d factors, d)].
 
         h_j = x^(q^j) is kept modulo f itself, one Frobenius step per j.
         The products of (h_j - x) over a block of ceil(sqrt(deg f)) degrees
         share one gcd with the part of f not yet split off; only a block
         whose gcd is nontrivial is searched degree by degree."""
-        if frob is None:
-            frob = self.frobenius(f)
-        red, x = frob.red, frob.x
+        if red is None:
+            red = self.reducer(f)
+        x = red.reduce(self.xvec())
         block = math.isqrt(max(self.deg(f) - 1, 0)) + 1
         out = []
         rest, h, j = f, x, 0
@@ -336,7 +326,7 @@ class Kernel:
             hs, prod = [], self.one()
             while j < stop:
                 j += 1
-                h = frob(h)
+                h = red.frobenius(h)
                 hs.append(h)
                 prod = red.reduce(self.mul(prod, self.sub(h, x)))
             g = self.gcd(rest, prod)
@@ -357,22 +347,19 @@ class Kernel:
             out.append((rest, self.deg(rest)))
         return out
 
-    def equal_degree_split(self, f, d: int, rng, frob: _Frobenius | None = None):
+    def equal_degree_split(self, f, d: int, rng, red: _Reducer | None = None):
         """Monic squarefree f, all factors of degree d -> list of factors.
 
-        ``frob`` is the q-power map modulo f or a multiple of f; for d > 1 it
-        is restricted to f once, and each piece passes its own map down.  A
+        ``red`` is the reducer modulo f or a multiple of f; for d > 1 it is
+        restricted to f once, and each piece passes its own down.  A
         random r splits f through r^((q^d-1)/2) - 1, computed as the norm
         r * r^q * ... * r^(q^(d-1)) raised to (q-1)/2.  ``MAX_FAILED_DRAWS``
         failed draws in a row raise ``InvariantError``."""
         n = self.deg(f)
         if n == d:
             return [f]
-        if d > 1:
-            frob = self.frobenius(f) if frob is None else frob.restrict(f)
-            red = frob.red
-        else:
-            red = self.reducer(f)
+        # restricting builds the parent's Frobenius matrix, which d = 1 never uses
+        red = red.restrict(f) if red is not None and d > 1 else self.reducer(f)
         half = (self.ctx.q - 1) // 2
         for _ in range(MAX_FAILED_DRAWS):
             r = self.rand_vec(rng, n)
@@ -380,7 +367,7 @@ class Kernel:
                 continue
             norm = conj = r
             for _ in range(d - 1):
-                conj = frob(conj)
+                conj = red.frobenius(conj)
                 norm = red.reduce(self.mul(norm, conj))
             g = self.gcd(f, self.sub(self.powmod(norm, half, red), self.one()))
             if 0 < self.deg(g) < n:
@@ -391,17 +378,17 @@ class Kernel:
                 f" (q={self.ctx.q}, deg f={n}, d={d})"
             )
         rest = self.exact_div(f, g)
-        return self.equal_degree_split(g, d, rng, frob) + self.equal_degree_split(
-            rest, d, rng, frob
+        return self.equal_degree_split(g, d, rng, red) + self.equal_degree_split(
+            rest, d, rng, red
         )
 
     def factor_monic(self, f, rng):
         """Monic f, deg >= 1 -> [(monic irreducible, multiplicity)]."""
         out = []
         for part, mult in self.squarefree_parts(f):
-            frob = self.frobenius(part)  # one Frobenius matrix per part
-            for prod, d in self.distinct_degree_parts(part, frob):
-                for irr in self.equal_degree_split(prod, d, rng, frob):
+            red = self.reducer(part)  # one Frobenius matrix per part
+            for prod, d in self.distinct_degree_parts(part, red):
+                for irr in self.equal_degree_split(prod, d, rng, red):
                     out.append((irr, mult))
         return out
 
@@ -410,12 +397,12 @@ class Kernel:
         n = self.deg(f)
         if n == 1:
             return True
-        frob = self.frobenius(f)
-        x = frob.x
+        red = self.reducer(f)
+        x = red.reduce(self.xvec())
         checkpoints = {n // ell for ell in _factor_int(n)}
         h = x
         for j in range(1, n + 1):
-            h = frob(h)
+            h = red.frobenius(h)
             if j in checkpoints:
                 if self.deg(self.gcd(f, self.sub(h, x))) != 0:
                     return False
@@ -437,28 +424,21 @@ class Kernel:
         reps = [self.ctx.rep_at(rng.randrange(self.ctx.q)) for _ in range(ncoeffs)]
         return self.from_reps(reps)
 
-    def trim(self, v):
-        raise NotImplementedError
 
+class _ArrayKernel(Kernel):
+    """numpy int64 vectors, values in [0, p), one row of shape ``row`` per
+    coefficient.  The primitives here do not depend on that shape."""
 
-class ModPKernel(Kernel):
-    """Prime-field vectors as numpy int64 arrays, values in [0, p)."""
+    row: tuple = ()
 
-    def __init__(self, ctx: PrimeField):
+    def __init__(self, ctx: FieldCtx):
         self.ctx = ctx
         self.p = ctx.p
 
     def from_reps(self, reps):
+        if not reps:
+            return np.zeros((0,) + self.row, dtype=np.int64)
         return self.trim(np.array(reps, dtype=np.int64))
-
-    def to_reps(self, v):
-        return [int(c) for c in v]
-
-    def trim(self, v):
-        n = len(v)
-        while n and v[n - 1] == 0:
-            n -= 1
-        return v[:n]
 
     def eq(self, a, b):
         return len(a) == len(b) and bool(np.array_equal(a, b))
@@ -466,10 +446,8 @@ class ModPKernel(Kernel):
     def pad(self, v, length):
         if len(v) >= length:
             return v[:length]
-        return np.concatenate([v, np.zeros(length - len(v), dtype=np.int64)])
-
-    def trunc(self, v, n):
-        return self.trim(v[:n])
+        fill = np.zeros((length - len(v),) + self.row, dtype=np.int64)
+        return np.concatenate([v, fill])
 
     def add(self, a, b):
         n = max(len(a), len(b))
@@ -482,6 +460,31 @@ class ModPKernel(Kernel):
     def neg(self, a):
         return (-a) % self.p
 
+    def deriv(self, v):
+        if len(v) < 2:
+            return v[:0]
+        # coefficient i times i; transposed, the coefficient axis is the last
+        return self.trim((v[1:].T * np.arange(1, len(v), dtype=np.int64)).T % self.p)
+
+    def to_matrix(self, rows, n):
+        return np.array([self.pad(r, n) for r in rows])
+
+    def fold_rows(self, mat, table):
+        return self.fold(mat, table)  # fold takes a stack of vectors
+
+
+class ModPKernel(_ArrayKernel):
+    """Prime-field vectors as numpy int64 arrays."""
+
+    def to_reps(self, v):
+        return [int(c) for c in v]
+
+    def trim(self, v):
+        n = len(v)
+        while n and v[n - 1] == 0:
+            n -= 1
+        return v[:n]
+
     def mul(self, a, b):
         if len(a) == 0 or len(b) == 0:
             return a[:0]
@@ -492,14 +495,6 @@ class ModPKernel(Kernel):
 
     def lead_rep(self, v):
         return int(v[-1])
-
-    def deriv(self, v):
-        if len(v) < 2:
-            return v[:0]
-        return self.trim(v[1:] * np.arange(1, len(v), dtype=np.int64) % self.p)
-
-    def to_matrix(self, rows, n):
-        return np.array([self.pad(r, n) for r in rows])
 
     def apply_matrix(self, mat, v):
         return self.trim(v @ mat[: len(v)] % self.p)
@@ -519,8 +514,6 @@ class ModPKernel(Kernel):
         # also folds a stack of vectors, one per row; the result is untrimmed
         n = table.shape[1]
         return (v[..., :n] + v[..., n:] @ table[: v.shape[-1] - n]) % self.p
-
-    fold_rows = fold
 
     def pdivmod(self, a, b):
         if len(b) == 0:
@@ -543,20 +536,15 @@ class ModPKernel(Kernel):
         return self.trim(qv * inv % p), self.trim(r[: lb - 1])
 
 
-class DigitKernel(Kernel):
+class DigitKernel(_ArrayKernel):
     """Extension-field vectors as (ncoeffs, k) arrays of base-p digits."""
 
     def __init__(self, ctx: ExtensionField):
-        self.ctx = ctx
-        self.p = ctx.p
+        super().__init__(ctx)
         self.kk = self.width = ctx.k
+        self.row = (ctx.k,)
         # fold table: row j = digits of t^(k+j) modulo the field modulus
         self._fold = np.array(ctx._red, dtype=np.int64) if ctx.k > 1 else None
-
-    def from_reps(self, reps):
-        if not reps:
-            return np.zeros((0, self.kk), dtype=np.int64)
-        return self.trim(np.array(reps, dtype=np.int64))
 
     def to_reps(self, v):
         return [tuple(int(d) for d in row) for row in v]
@@ -566,29 +554,6 @@ class DigitKernel(Kernel):
         while n and not v[n - 1].any():
             n -= 1
         return v[:n]
-
-    def eq(self, a, b):
-        return len(a) == len(b) and bool(np.array_equal(a, b))
-
-    def pad(self, v, length):
-        if len(v) >= length:
-            return v[:length]
-        fill = np.zeros((length - len(v), self.kk), dtype=np.int64)
-        return np.concatenate([v, fill])
-
-    def trunc(self, v, n):
-        return self.trim(v[:n])
-
-    def add(self, a, b):
-        n = max(len(a), len(b))
-        return self.trim((self.pad(a, n) + self.pad(b, n)) % self.p)
-
-    def sub(self, a, b):
-        n = max(len(a), len(b))
-        return self.trim((self.pad(a, n) - self.pad(b, n)) % self.p)
-
-    def neg(self, a):
-        return (-a) % self.p
 
     def mul(self, a, b):
         if len(a) == 0 or len(b) == 0:
@@ -625,9 +590,6 @@ class DigitKernel(Kernel):
             out[u] = (out[u] + prev[:, -1:] * self._fold[0]) % self.p
         return out
 
-    def to_matrix(self, rows, n):
-        return np.array([self.pad(r, n) for r in rows])
-
     def apply_matrix(self, mat, v):
         return self.trim(self._apply(mat, v))
 
@@ -661,8 +623,6 @@ class DigitKernel(Kernel):
         n = table.shape[1]
         return (v[..., :n, :] + self._apply(table, v[..., n:, :])) % self.p
 
-    fold_rows = fold
-
     def scale(self, v, c_rep):
         if len(v) == 0:
             return v
@@ -671,12 +631,6 @@ class DigitKernel(Kernel):
 
     def lead_rep(self, v):
         return tuple(int(d) for d in v[-1])
-
-    def deriv(self, v):
-        if len(v) < 2:
-            return v[:0]
-        mults = np.arange(1, len(v), dtype=np.int64)[:, None]
-        return self.trim(v[1:] * mults % self.p)
 
     def pdivmod(self, a, b):
         if len(b) == 0:
@@ -728,9 +682,6 @@ class ObjectKernel(Kernel):
         if len(v) >= length:
             return v[:length]
         return v + [self.ctx.zero_rep] * (length - len(v))
-
-    def trunc(self, v, n):
-        return self.trim(v[:n])
 
     def add(self, a, b):
         n = max(len(a), len(b))

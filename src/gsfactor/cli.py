@@ -190,6 +190,8 @@ def _verify_one(field: FieldCtx, seed: int, out, fmt: str, prefix: str = "") -> 
 
 def _cmd_verify(args, out) -> int:
     field_spec, _ = _collect(args)
+    if field_spec is not None and args.max_q is not None:
+        raise DomainError(f"verify got both a field ({field_spec}) and --max-q")
     seed = _resolve_seed(args)
     if field_spec is None:
         if args.max_q is None:
@@ -284,6 +286,8 @@ def _corollary_checks(ctx: DicksonCtx) -> list:
 
 def _cmd_check_corollaries(args, out) -> int:
     field_spec, _ = _collect(args)
+    if field_spec is not None and args.max_q is not None:
+        raise DomainError(f"check-corollaries got both a field ({field_spec}) and --max-q")
     specs = []
     if field_spec is not None:
         specs.append(_parse_field_spec(field_spec))

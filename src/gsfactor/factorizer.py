@@ -147,48 +147,35 @@ def _closed_form(ctx: DicksonCtx, s) -> tuple:
     one = field.one
     half = one / 2
 
-    merged: dict = {}
-
-    def put(f: Poly, m: int = 1):
-        k = f.key()
-        if k in merged:
-            merged[k] = (f, merged[k][1] + m)
-        else:
-            merged[k] = (f, m)
-
+    # the factors below are distinct by construction, so none is merged: the
+    # linear coefficients are injective in a and w (s != 0 in those cases),
+    # C excludes 0 and 1, and _shape_preimages checks the offsets are simple
     kind = tag.kind
     if kind is CaseKind.S_PLUS_ONE:
-        put(x)
-        put(x - 1)
-        for a in ctx.C:
-            put(x - a, 2)
+        factors = [(x, 1), (x - 1, 1)] + [(x - a, 2) for a in ctx.C]
     elif kind is CaseKind.S_MINUS_ONE:
         # roots are the j with both j and 1-j nonsquare; these are exactly
         # the images (1+w)/2 of the W parameters
-        for w in ctx.W:
-            put(x - (1 + w) * half, 2)
+        factors = [(x - (1 + w) * half, 2) for w in ctx.W]
     elif kind is CaseKind.S_ZERO:
         quarter = half * half
-        for w in ctx.W:
-            v = (1 + w) * half
-            put(x * x - x + v * quarter)
+        factors = [(x * x - x + (1 + w) * half * quarter, 1) for w in ctx.W]
     elif kind is CaseKind.SPLIT_LINEAR_QUADRATIC:
-        put(x - (1 + s) * half)
-        put(x - (1 - s) * half)
+        factors = [(x - (1 + s) * half, 1), (x - (1 - s) * half, 1)]
         for a in ctx.C:
             b = 2 * a - 1 - s
-            put(x * x + (2 * a * s - 1 - s) * x + b * b / 4)
+            factors.append((x * x + (2 * a * s - 1 - s) * x + b * b / 4, 1))
     elif kind is CaseKind.ALL_QUADRATIC:
+        factors = []
         for w in ctx.W:
             t = s + w
-            put(x * x - (1 + s * w) * x + t * t / 4)
+            factors.append((x * x - (1 + s * w) * x + t * t / 4, 1))
     else:
         shape, ms = _shape_preimages(ctx, s, profile)
-        for m in ms:
-            put(shape - m)
+        factors = [(shape - m, 1) for m in ms]
 
     lead = ctx.tau * ctx.tau / 2
-    result = Factorization(lead, merged.values())
+    result = Factorization(lead, factors)
     if result.expand() != build_g(ctx, s):
         raise InvariantError(f"closed form for q={ctx.field.q}, s={s} failed reconstruction")
     return s, tag, result, ms

@@ -163,6 +163,11 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify")
         assert code == 2 and "max-q" in err
 
+    def test_field_and_max_q_conflict(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "q=13", "--max-q", "9")
+        assert code == 2 and out == ""
+        assert "q=13" in err and "--max-q" in err
+
 
 class TestAtlas:
     def test_record_per_s_and_roundtrip(self, capsys):
@@ -321,6 +326,11 @@ class TestCheckCorollaries:
         monkeypatch.setattr(cli, "degree_table_check", lambda *a, **k: False)
         code, out, _ = run_cli(capsys, "check-corollaries", "q=13")
         assert code == 3 and "FAIL" in out
+
+    def test_field_and_max_q_conflict(self, capsys):
+        code, out, err = run_cli(capsys, "check-corollaries", "--max-q", "25", "q=13")
+        assert code == 2 and out == ""
+        assert "q=13" in err and "--max-q" in err
 
 
 class TestParsing:

@@ -8,7 +8,8 @@ import re
 
 import pytest
 
-from gsfactor import factorizer
+from gsfactor import factorizer, polyring
+from gsfactor._kernels import Kernel
 from gsfactor.dickson import build_ctx, build_g
 from gsfactor.errors import DomainError, InvariantError
 from gsfactor.factorizer import (
@@ -373,3 +374,39 @@ class TestOracleEquivalence:
             ctx = build_ctx(make_field_q(q))
             for s in elements(ctx.field):
                 assert verify_against_oracle(ctx, s)
+
+
+class TestRouteIndependence:
+    def test_closed_form_never_calls_the_engine(self, monkeypatch):
+        # built before the patches: the modulus search for F_27 and F_49 runs
+        # the Rabin test
+        ctxs = [build_ctx(make_field_q(q)) for q in (13, 27, 49)]
+
+        def engine(*args, **kwargs):
+            raise AssertionError("the closed form called the generic engine")
+
+        # the closed form shares the kernels' arithmetic and the d = 1 root
+        # finder; every other entry point of the engine raises
+        for owner, name in [
+            (factorizer, "factorize"),
+            (polyring, "factorize"),
+            (Kernel, "factor_monic"),
+            (Kernel, "squarefree_parts"),
+            (Kernel, "distinct_degree_parts"),
+            (Kernel, "is_irreducible"),
+        ]:
+            monkeypatch.setattr(owner, name, engine)
+        split = Kernel.equal_degree_split
+
+        def roots_only(self, f, d, rng, red=None):
+            if d > 1:
+                engine()
+            return split(self, f, d, rng, red)
+
+        monkeypatch.setattr(Kernel, "equal_degree_split", roots_only)
+        for ctx in ctxs:
+            for s in elements(ctx.field):
+                tag = classify(ctx, s)
+                factor_closed_form(ctx, s)  # checks its own reconstruction
+                if tag.kind is CaseKind.DEGREE_E:
+                    assert constant_terms(ctx, s)[0] == tag.e

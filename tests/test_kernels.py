@@ -152,6 +152,16 @@ class TestStages:
             ker.equal_degree_split(f, 1, random.Random(1))
         assert time.perf_counter() - start < 1.0
 
+    def test_roots_build_no_matrix(self, field, monkeypatch):
+        # equal-degree splitting at d = 1 takes no q-power step, so it neither
+        # builds nor restricts a Frobenius matrix
+        ker = fast_kernel(field)
+        f = product(ker, [ker.from_reps([field.rep_at(i), field.one_rep]) for i in range(3)])
+        red = ker.reducer(f)
+        monkeypatch.setattr(_kernels._Reducer, "frobenius_matrix", lambda self: pytest.fail())
+        assert len(ker.equal_degree_split(f, 1, random.Random(1), red)) == 3
+        assert red.matrix is None
+
 
 class TestFrobenius:
     def test_matrix_matches_ladder(self, field):
@@ -160,22 +170,22 @@ class TestFrobenius:
             f = ker.from_reps(rand_reps(field, 9, rng, monic=True))
             g = ker.from_reps(rand_reps(field, 4, rng, monic=True))
             fg = ker.mul(f, g)
-            frob = ker.frobenius(fg)
-            frob_g = frob.restrict(g)
+            red = ker.reducer(fg)
+            red_g = red.restrict(g)
             for _ in range(4):
                 v = ker.from_reps(rand_reps(field, rng.randrange(0, 13), rng))
-                assert frob.use_matrix
-                assert ker.eq(frob(v), ker.powmod(v, field.q, frob.red))
+                assert red.use_matrix
+                assert ker.eq(red.frobenius(v), ker.powmod(v, field.q, red))
                 # the map restricted to a divisor of the modulus
-                want = ker.powmod(v, field.q, frob_g.red)
-                assert ker.eq(frob_g(frob_g.red.reduce(v)), want)
-            assert frob.matrix is not None
+                want = ker.powmod(v, field.q, red_g)
+                assert ker.eq(red_g.frobenius(red_g.reduce(v)), want)
+            assert red.matrix is not None
 
     def test_rows_are_q_powers_of_x(self, field):
         ker = fast_kernel(field)
         f = ker.from_reps(rand_reps(field, 6, random.Random(6), monic=True))
         red = ker.reducer(f)
-        rows = ker.frobenius_matrix(red)
+        rows = red.frobenius_matrix()
         xq = ker.powmod(ker.xvec(), field.q, red)
         power = ker.one()
         for i in range(6):
@@ -188,7 +198,7 @@ class TestFrobenius:
         f = ker.from_reps(rand_reps(field, 12, rng, monic=True))
         with_matrix = ker.factor_monic(f, random.Random(1))
         monkeypatch.setattr(_kernels, "FROBENIUS_MAX_ENTRIES", 0)
-        assert not ker.frobenius(f).use_matrix
+        assert not ker.reducer(f).use_matrix
         with_ladder = ker.factor_monic(f, random.Random(1))
         key = lambda t: (ker.to_reps(t[0]), t[1])  # noqa: E731
         assert sorted(map(key, with_matrix)) == sorted(map(key, with_ladder))
@@ -207,10 +217,24 @@ class TestFrobenius:
         ker = ModPKernel(F)
         monkeypatch.setattr(_kernels, "FROBENIUS_MAX_ENTRIES", 5 * 5 - 1)
         f = ker.from_reps(rand_reps(F, 5, random.Random(8), monic=True))
-        frob = ker.frobenius(f)
+        red = ker.reducer(f)
         v = ker.from_reps(rand_reps(F, 4, random.Random(9)))
-        assert ker.eq(frob(v), ker.powmod(v, F.q, frob.red))
-        assert not frob.use_matrix and frob.matrix is None
+        assert ker.eq(red.frobenius(v), ker.powmod(v, F.q, red))
+        assert not red.use_matrix and red.matrix is None
+
+    def test_ladder_restricts_to_a_ladder(self, field, monkeypatch):
+        # the child would fit under the bound on its own, but stays a ladder
+        rng = random.Random(10)
+        for ker in both(field):
+            g = ker.from_reps(rand_reps(field, 4, rng, monic=True))
+            f = ker.mul(g, ker.from_reps(rand_reps(field, 6, rng, monic=True)))
+            monkeypatch.setattr(_kernels, "FROBENIUS_MAX_ENTRIES", 10 * 10 * ker.width - 1)
+            red_g = ker.reducer(f).restrict(g)
+            assert ker.frobenius_fits(red_g.n) and not red_g.use_matrix
+            for _ in range(3):
+                v = red_g.reduce(ker.from_reps(rand_reps(field, 13, rng)))
+                assert ker.eq(red_g.frobenius(v), ker.powmod(v, field.q, ker.reducer(g)))
+            assert red_g.matrix is None
 
 
 def x_power(ker, e):
@@ -254,14 +278,14 @@ class TestTableReduction:
             g = ker.from_reps(rand_reps(field, 3, rng, monic=True))
             f = ker.mul(g, ker.from_reps(rand_reps(field, 5, rng, monic=True)))
             part = ker.mul(f, ker.from_reps(rand_reps(field, 6, rng, monic=True)))
-            frob_f = ker.frobenius(part).restrict(f)
-            frob_g = frob_f.restrict(g)  # restricted twice: g | f | part
-            assert frob_f.restrict(f) is frob_f
-            for frob, red in ((frob_f, frob_f.red), (frob_g, frob_g.red)):
-                assert len(frob.matrix) == red.n == len(frob.matrix[0])
+            red_f = ker.reducer(part).restrict(f)
+            red_g = red_f.restrict(g)  # restricted twice: g | f | part
+            assert red_f.restrict(f) is red_f
+            for red in (red_f, red_g):
+                assert len(red.matrix) == red.n == len(red.matrix[0])
                 for _ in range(3):
                     v = red.reduce(ker.from_reps(rand_reps(field, 13, rng)))
-                    assert ker.eq(frob(v), ker.powmod(v, field.q, ker.reducer(red.m)))
+                    assert ker.eq(red.frobenius(v), ker.powmod(v, field.q, ker.reducer(red.m)))
 
     def test_newton_side_of_the_bound(self, field, monkeypatch):
         rng = random.Random(23)
@@ -277,10 +301,10 @@ class TestTableReduction:
         assert red.table is None and red.minv is not None
         # a piece above the bound keeps the parent's rows and reduces each output
         part = fast.mul(fast.from_reps(m), fast.from_reps(g))
-        frob = fast.frobenius(part).restrict(fast.from_reps(m))
+        piece = fast.reducer(part).restrict(fast.from_reps(m))
         w = red.reduce(fast.from_reps(v))
-        assert len(frob.matrix[0]) == 14
-        assert fast.eq(frob(w), fast.powmod(w, field.q, red))
+        assert len(piece.matrix[0]) == 14
+        assert fast.eq(piece.frobenius(w), fast.powmod(w, field.q, red))
         with_newton = fast.factor_monic(part, random.Random(3))
         monkeypatch.undo()
         with_table = fast.factor_monic(part, random.Random(3))
