@@ -14,14 +14,21 @@ Three context classes share one interface:
   modulus is t^2 + 1 and ``i`` is t itself; otherwise nu is the canonically
   smallest nonsquare and ``i`` is the embedded square root of -1.
 
+``FieldCtx`` states each shared rule once (coercion, equality and hashing,
+square roots, orders, enumeration); a class supplies only its rep-level
+hooks, listed in the ``FieldCtx`` docstring.
+
 Everything that involves a choice (square roots, nonsquare witnesses, the
-extension modulus) is resolved by the canonical total order on elements:
-integer order for prime fields, lexicographic on coefficient vectors
-otherwise.  Identical inputs therefore always produce identical outputs.
+extension modulus) is resolved by the canonical total order on elements,
+which is the natural order of the reps: integer order for prime fields,
+tuple order on digit vectors (constant digit most significant) and on
+pairs.  ``rep_at`` walks that order.  Identical inputs therefore always
+produce identical outputs.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import threading
 from fractions import Fraction
@@ -74,6 +81,16 @@ def _factor_int(n: int) -> dict[int, int]:
     return out
 
 
+def _iroot(n: int, k: int) -> int:
+    """Largest r with r^k <= n, by Newton's method from above."""
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
 def _smallest_modulus(p: int, k: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree k over F_p."""
     from ._kernels import ModPKernel  # _kernels imports this module
@@ -94,16 +111,29 @@ def _smallest_modulus(p: int, k: int) -> tuple[int, ...]:
 class FieldCtx:
     """Shared behaviour for the three field context classes.
 
-    Subclasses provide representation-level arithmetic (``radd`` .. ``rpow``)
-    plus the canonical order hooks; everything built on top of those (square
+    ``__init__`` sets ``p``, ``k``, ``q``, ``zero_rep``, ``one_rep`` and the
+    identity tuple that equality and hashing compare.  Subclasses provide the
+    hooks:
+
+    * rep-level arithmetic: ``radd``, ``rsub``, ``rmul``, ``rneg``, ``rinv``
+      (``rpow`` defaults to square-and-multiply);
+    * ``_rep_of_int``, and ``_rep_of_other`` where the class coerces more than
+      elements, ints and Fractions;
+    * ``rep_at`` / ``index_of`` (position in the canonical order) and
+      ``str_rep``.
+
+    Reps are ints, digit tuples or pairs of those, and their natural order is
+    the canonical order.  Everything built on the hooks (coercion, square
     roots, multiplicative order, the lazy quadratic extension) lives here.
     """
 
-    p: int
-    k: int
-    q: int
-
-    def __init__(self) -> None:
+    def __init__(self, p: int, k: int, zero_rep, one_rep, ident: tuple) -> None:
+        self.p = p
+        self.k = k
+        self.q = p**k
+        self.zero_rep = zero_rep
+        self.one_rep = one_rep
+        self._ident = ident
         self._ext: QuadraticExtension | None = None
         self._ext_lock = threading.Lock()
 
@@ -121,29 +151,27 @@ class FieldCtx:
         return FieldElement(self, self.one_rep)
 
     def rep_of(self, x):
-        raise NotImplementedError
+        """Representative of ``x``: an element of this field, an int, a
+        Fraction, or whatever the class's ``_rep_of_other`` accepts."""
+        if isinstance(x, FieldElement) and x.ctx == self:
+            return x.rep
+        if isinstance(x, int) and not isinstance(x, bool):
+            return self._rep_of_int(x)
+        if isinstance(x, Fraction):
+            num = self.rep_of(x.numerator)
+            return self.rmul(num, self.rinv(self.rep_of(x.denominator)))
+        rep = self._rep_of_other(x)
+        if rep is not None:
+            return rep
+        if isinstance(x, FieldElement):
+            raise DomainError("element belongs to a different field")
+        raise DomainError(f"cannot coerce {x!r} into GF({self.q})")
 
-    def _coerce_fraction(self, x: Fraction):
-        num = self.rep_of(x.numerator)
-        den = self.rep_of(x.denominator)
-        return self.rmul(num, self.rinv(den))
+    def _rep_of_other(self, x):
+        """Coercion hook for further input kinds; None rejects ``x``."""
+        return None
 
-    # -- rep-level arithmetic hooks -----------------------------------------
-
-    def radd(self, a, b):
-        raise NotImplementedError
-
-    def rsub(self, a, b):
-        raise NotImplementedError
-
-    def rmul(self, a, b):
-        raise NotImplementedError
-
-    def rneg(self, a):
-        raise NotImplementedError
-
-    def rinv(self, a):
-        raise NotImplementedError
+    # -- powers, character, roots, orders ------------------------------------
 
     def rpow(self, a, e: int):
         if e < 0:
@@ -156,19 +184,6 @@ class FieldCtx:
             a = self.rmul(a, a)
             e >>= 1
         return out
-
-    def rep_key(self, a):
-        """Sort key realizing the canonical total order."""
-        raise NotImplementedError
-
-    def rep_at(self, i: int):
-        """Representative at position ``i`` of the canonical order."""
-        raise NotImplementedError
-
-    def index_of(self, a) -> int:
-        raise NotImplementedError
-
-    # -- character, roots, orders -------------------------------------------
 
     def quad_char_rep(self, a) -> int:
         if a == self.zero_rep:
@@ -186,8 +201,8 @@ class FieldCtx:
             i += 1
 
     def sqrt_rep(self, a):
-        """Tonelli-Shanks; returns the root with the smaller canonical key,
-        or None when ``a`` is a nonsquare."""
+        """Tonelli-Shanks; returns the canonically smaller root, or None when
+        ``a`` is a nonsquare."""
         if a == self.zero_rep:
             return a
         if self.quad_char_rep(a) == -1:
@@ -211,15 +226,18 @@ class FieldCtx:
                 c = self.rmul(b, b)
                 t = self.rmul(t, c)
                 ss = i
-        neg = self.rneg(x)
-        return x if self.rep_key(x) <= self.rep_key(neg) else neg
+        return min(x, self.rneg(x))
+
+    @functools.cached_property
+    def _order_primes(self) -> tuple[int, ...]:
+        """Prime divisors of q - 1, factored on first use."""
+        return tuple(_factor_int(self.q - 1))
 
     def mult_order_rep(self, a) -> int:
         if a == self.zero_rep:
             raise DomainError("multiplicative order of zero is undefined")
-        n = self.q - 1
-        t = n
-        for ell in _factor_int(n):
+        t = self.q - 1
+        for ell in self._order_primes:
             while t % ell == 0 and self.rpow(a, t // ell) == self.one_rep:
                 t //= ell
         return t
@@ -235,33 +253,24 @@ class FieldCtx:
                     self._ext = QuadraticExtension(self)
         return self._ext
 
+    def __eq__(self, other):
+        return type(other) is type(self) and other._ident == self._ident
+
+    def __hash__(self):
+        return hash((type(self).__name__,) + self._ident)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"GF({self.q})"
 
 
 class PrimeField(FieldCtx):
+    modulus = None
+
     def __init__(self, p: int):
-        super().__init__()
-        self.p = p
-        self.k = 1
-        self.q = p
-        self.modulus = None
+        super().__init__(p, 1, 0, 1, (p,))
 
-    def rep_of(self, x):
-        if isinstance(x, FieldElement):
-            if x.ctx != self:
-                raise DomainError("element belongs to a different field")
-            return x.rep
-        if isinstance(x, bool):
-            raise DomainError(f"cannot coerce {x!r} into GF({self.q})")
-        if isinstance(x, int):
-            return x % self.p
-        if isinstance(x, Fraction):
-            return self._coerce_fraction(x)
-        raise DomainError(f"cannot coerce {x!r} into GF({self.q})")
-
-    zero_rep = property(lambda self: 0)
-    one_rep = property(lambda self: 1)
+    def _rep_of_int(self, x: int):
+        return x % self.p
 
     def radd(self, a, b):
         return (a + b) % self.p
@@ -285,9 +294,6 @@ class PrimeField(FieldCtx):
             raise ZeroDivisionError("inverse of zero")
         return pow(a, e, self.p)
 
-    def rep_key(self, a):
-        return a
-
     def rep_at(self, i: int):
         return i
 
@@ -297,19 +303,10 @@ class PrimeField(FieldCtx):
     def str_rep(self, a) -> str:
         return str(a)
 
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("PrimeField", self.p))
-
 
 class ExtensionField(FieldCtx):
     def __init__(self, p: int, k: int):
-        super().__init__()
-        self.p = p
-        self.k = k
-        self.q = p**k
+        super().__init__(p, k, (0,) * k, (1,) + (0,) * (k - 1), (p, k))
         self.modulus: tuple[int, ...] = _smallest_modulus(p, k)
         # reduction table: _red[j] = representative of t^(k+j)
         red = []
@@ -323,32 +320,18 @@ class ExtensionField(FieldCtx):
             red.append(tuple(row))
         self._red = red
 
-    def rep_of(self, x):
-        if isinstance(x, FieldElement):
-            if x.ctx != self:
-                raise DomainError("element belongs to a different field")
-            return x.rep
-        if isinstance(x, bool):
-            raise DomainError(f"cannot coerce {x!r} into GF({self.q})")
-        if isinstance(x, int):
-            return (x % self.p,) + (0,) * (self.k - 1)
-        if isinstance(x, Fraction):
-            return self._coerce_fraction(x)
-        if isinstance(x, (tuple, list)):
-            if len(x) > self.k:
-                raise DomainError("digit vector longer than the field degree")
-            digits = [int(c) % self.p for c in x]
-            digits += [0] * (self.k - len(digits))
-            return tuple(digits)
-        raise DomainError(f"cannot coerce {x!r} into GF({self.q})")
+    def _rep_of_int(self, x: int):
+        return (x % self.p,) + (0,) * (self.k - 1)
 
-    @property
-    def zero_rep(self):
-        return (0,) * self.k
-
-    @property
-    def one_rep(self):
-        return (1,) + (0,) * (self.k - 1)
+    def _rep_of_other(self, x):
+        """Digit vectors, low degree first, zero-padded to length k."""
+        if not isinstance(x, (tuple, list)):
+            return None
+        if len(x) > self.k:
+            raise DomainError("digit vector longer than the field degree")
+        digits = [int(c) % self.p for c in x]
+        digits += [0] * (self.k - len(digits))
+        return tuple(digits)
 
     def radd(self, a, b):
         p = self.p
@@ -383,9 +366,6 @@ class ExtensionField(FieldCtx):
             raise ZeroDivisionError("inverse of zero")
         return self.rpow(a, self.q - 2)
 
-    def rep_key(self, a):
-        return a
-
     def rep_at(self, i: int):
         digits = []
         for _ in range(self.k):
@@ -402,16 +382,6 @@ class ExtensionField(FieldCtx):
     def str_rep(self, a) -> str:
         return ",".join(str(c) for c in a)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, ExtensionField)
-            and other.p == self.p
-            and other.k == self.k
-        )
-
-    def __hash__(self):
-        return hash(("ExtensionField", self.p, self.k))
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"GF({self.p}^{self.k})"
 
@@ -422,18 +392,16 @@ class QuadraticExtension(FieldCtx):
     def __init__(self, base: FieldCtx):
         if isinstance(base, QuadraticExtension):
             raise DomainError("iterated quadratic extensions are not supported")
-        super().__init__()
+        zero, one = base.zero_rep, base.one_rep
+        super().__init__(base.p, 2 * base.k, (zero, zero), (one, zero), (base,))
         self.base = base
-        self.p = base.p
-        self.k = 2 * base.k
-        self.q = base.q * base.q
-        minus_one = base.rneg(base.one_rep)
+        minus_one = base.rneg(one)
         if base.quad_char_rep(minus_one) == -1:
             self.nu = minus_one  # modulus t^2 + 1
-            self._i_rep = (base.zero_rep, base.one_rep)
+            self._i_rep = (zero, one)
         else:
             self.nu = base.nonsquare_rep()
-            self._i_rep = (base.sqrt_rep(minus_one), base.zero_rep)
+            self._i_rep = (base.sqrt_rep(minus_one), zero)
 
     @property
     def i(self) -> "FieldElement":
@@ -458,30 +426,16 @@ class QuadraticExtension(FieldCtx):
             raise DomainError("conj expects an element of the extension")
         return FieldElement(self, (x.rep[0], self.base.rneg(x.rep[1])))
 
-    def rep_of(self, x):
-        if isinstance(x, FieldElement):
-            if x.ctx == self:
-                return x.rep
-            if x.ctx == self.base:
-                return (x.rep, self.base.zero_rep)
-            raise DomainError("element belongs to a different field")
-        if isinstance(x, bool):
-            raise DomainError(f"cannot coerce {x!r} into GF({self.q})")
-        if isinstance(x, int):
-            return (self.base.rep_of(x), self.base.zero_rep)
-        if isinstance(x, Fraction):
-            return self._coerce_fraction(x)
+    def _rep_of_int(self, x: int):
+        return (self.base._rep_of_int(x), self.base.zero_rep)
+
+    def _rep_of_other(self, x):
+        """Embedded base elements and pairs of base-field values."""
+        if isinstance(x, FieldElement) and x.ctx == self.base:
+            return (x.rep, self.base.zero_rep)
         if isinstance(x, tuple) and len(x) == 2:
             return (self.base.rep_of(x[0]), self.base.rep_of(x[1]))
-        raise DomainError(f"cannot coerce {x!r} into GF({self.q})")
-
-    @property
-    def zero_rep(self):
-        return (self.base.zero_rep, self.base.zero_rep)
-
-    @property
-    def one_rep(self):
-        return (self.base.one_rep, self.base.zero_rep)
+        return None
 
     def radd(self, a, b):
         br = self.base
@@ -531,9 +485,6 @@ class QuadraticExtension(FieldCtx):
             i += 1
         return cand
 
-    def rep_key(self, a):
-        return (self.base.rep_key(a[0]), self.base.rep_key(a[1]))
-
     def rep_at(self, i: int):
         hi, lo = divmod(i, self.base.q)
         return (self.base.rep_at(hi), self.base.rep_at(lo))
@@ -543,12 +494,6 @@ class QuadraticExtension(FieldCtx):
 
     def str_rep(self, a) -> str:
         return f"{self.base.str_rep(a[0])}+{self.base.str_rep(a[1])}*t"
-
-    def __eq__(self, other):
-        return isinstance(other, QuadraticExtension) and other.base == self.base
-
-    def __hash__(self):
-        return hash(("QuadraticExtension", self.base))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"GF({self.base.q})[t]"
@@ -642,8 +587,8 @@ class FieldElement:
         return self.rep != self.ctx.zero_rep
 
     def key(self):
-        """Canonical sort key (total order within one field)."""
-        return self.ctx.rep_key(self.rep)
+        """Canonical sort key (total order within one field): the rep."""
+        return self.rep
 
     def __str__(self):
         return self.ctx.str_rep(self.rep)
@@ -679,11 +624,11 @@ def make_field_q(q: int) -> FieldCtx:
     """Construct F_q from the prime power q itself."""
     if not isinstance(q, int) or q < 3:
         raise DomainError("q must be an odd prime power >= 3")
-    fac = _factor_int(q)
-    if len(fac) != 1:
-        raise DomainError(f"q = {q} is not a prime power")
-    (p, k), = fac.items()
-    return make_field(p, k)
+    for k in range(1, q.bit_length()):
+        p = _iroot(q, k)
+        if p**k == q and _is_prime(p):
+            return make_field(p, k)
+    raise DomainError(f"q = {q} is not a prime power")
 
 
 def quad_char(a: FieldElement) -> int:
@@ -711,13 +656,5 @@ def elements(ctx: FieldCtx):
     """Yield every element once, in canonical order.  Guarded at 10^7."""
     if ctx.q > ENUM_LIMIT:
         raise DomainError(f"refusing to enumerate a field of size {ctx.q}")
-    if isinstance(ctx, PrimeField):
-        for i in range(ctx.p):
-            yield FieldElement(ctx, i)
-    elif isinstance(ctx, ExtensionField):
-        for digits in itertools.product(range(ctx.p), repeat=ctx.k):
-            yield FieldElement(ctx, digits)
-    else:
-        for a in elements(ctx.base):
-            for b in elements(ctx.base):
-                yield FieldElement(ctx, (a.rep, b.rep))
+    for i in range(ctx.q):
+        yield FieldElement(ctx, ctx.rep_at(i))

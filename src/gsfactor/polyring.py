@@ -360,7 +360,7 @@ def roots_in_field(f: Poly, seed: int | None = None) -> list[FieldElement]:
     rng = random.Random(DEFAULT_SEED if seed is None else seed)
     reps = ker.distinct_roots(ker.make_monic(_vec(ker, f))[1], rng)
     out = []
-    for rep in sorted(reps, key=ctx.rep_key):
+    for rep in sorted(reps):
         root = FieldElement(ctx, rep)
         lin = Poly(ctx, [-root, 1])
         cur = f

@@ -68,9 +68,10 @@ def build_profile(ctx: FieldCtx, c) -> RecurrenceProfile:
     ext = ctx.ext
     i = ext.i
     beta = ext.embed(sqrt(1 - c)) + i * ext.embed(sqrt(c))
-    if mult_order(beta) % 2 == 1:
-        beta = -beta
-    if mult_order(beta) != 2 * e:
+    order = mult_order(beta)
+    if order % 2 == 1:
+        beta, order = -beta, 2 * order
+    if order != 2 * e:
         raise InvariantError("generator order does not match the period")
 
     quarter = ext.elem(Fraction(1, 4))

@@ -72,6 +72,11 @@ class TestFactor:
         assert code == 2
         assert "q must be an odd prime power" in err
 
+    def test_large_prime_refused_at_once(self, capsys):
+        # the field is built at once; the enumeration guard then exits 2
+        code, _, err = run_cli(capsys, "factor", "q=2305843009213693951", "s=5")
+        assert code == 2 and "refusing to enumerate" in err
+
     def test_missing_s(self, capsys):
         code, _, err = run_cli(capsys, "factor", "q=13")
         assert code == 2 and "s" in err

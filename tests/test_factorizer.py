@@ -8,7 +8,7 @@ import re
 
 import pytest
 
-from gsfactor import factorizer, polyring
+from gsfactor import factorizer, ffield, polyring
 from gsfactor._kernels import Kernel
 from gsfactor.dickson import build_ctx, build_g
 from gsfactor.errors import DomainError, InvariantError
@@ -272,6 +272,21 @@ class TestSignClass:
     def test_rejects_bad_d(self):
         with pytest.raises(DomainError):
             sign_class(CTX19, 12, 0)
+
+
+class TestOrderFactorization:
+    def test_group_order_factored_once_per_field(self, monkeypatch):
+        real = ffield._factor_int
+        calls = []
+        monkeypatch.setattr(ffield, "_factor_int", lambda n: calls.append(n) or real(n))
+        ctx = build_ctx(make_field(31))
+        for s in elements(ctx.field):
+            classify(ctx, s)
+        assert len(calls) <= 1
+        before = len(calls)
+        for s in elements(ctx.field):
+            sign_class(ctx, s, 3)
+        assert len(calls) == before
 
 
 class TestNormResiduacity:

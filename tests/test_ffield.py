@@ -8,6 +8,7 @@ implementation under test.
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -15,6 +16,7 @@ import sympy
 from gsfactor.errors import DomainError
 from gsfactor.ffield import (
     FieldElement,
+    PrimeField,
     elements,
     make_field,
     make_field_q,
@@ -52,6 +54,29 @@ class TestConstruction:
         assert make_field_q(13).k == 1
         F27 = make_field_q(27)
         assert (F27.p, F27.k) == (3, 3)
+        F81 = make_field_q(81)
+        assert (F81.p, F81.k) == (3, 4)
+
+    def test_make_field_q_messages(self):
+        cases = [
+            (2, "q must be an odd prime power >= 3"),
+            (4, "q must be an odd prime power"),
+            (15, "q = 15 is not a prime power"),
+            (3**13, "extension fields are limited to q <= 10^6, got 3^13"),
+        ]
+        for q, message in cases:
+            with pytest.raises(DomainError) as info:
+                make_field_q(q)
+            assert str(info.value) == message
+
+    def test_make_field_q_large_inputs_answer_at_once(self):
+        # no trial division: primality first, then integer k-th roots
+        F = make_field_q(2**61 - 1)
+        assert isinstance(F, PrimeField) and F.q == 2**61 - 1
+        with pytest.raises(DomainError, match="extension fields are limited"):
+            make_field_q((2**31 - 1) ** 2)
+        with pytest.raises(DomainError, match="is not a prime power"):
+            make_field_q((2**31 - 1) * 1000000007)
 
     def test_extension_modulus_is_first_irreducible(self):
         # independent scan: lexicographic over (c0, c1), constant term first,
@@ -120,7 +145,7 @@ class TestCanonicalOrder:
 
     def test_keys_strictly_increasing(self):
         for F in (make_field(13), make_field(3, 3)):
-            keys = [F.rep_key(a.rep) for a in elements(F)]
+            keys = [a.key() for a in elements(F)]
             assert keys == sorted(keys)
             assert len(set(keys)) == len(keys)
 
@@ -143,8 +168,6 @@ class TestArithmetic:
     def test_fraction_coercion(self):
         F = make_field(13)
         assert F.elem(1) / 2 * 2 == F.one
-        from fractions import Fraction
-
         assert F.elem(Fraction(-1, 2)) * 2 == -F.one
         assert F.elem(Fraction(3, 4)).rep == 4  # 3 * inv(4) = 3*10 = 30 = 4
 
@@ -315,3 +338,92 @@ class TestQuadraticExtension:
 class TestElementsGuard:
     def test_elements_count(self):
         assert len(list(elements(make_field(5, 2)))) == 25
+
+
+# ---------------------------------------------------------------------------
+# pinned contract: coercion, identity and canonical order
+
+
+F13 = make_field(13)
+F27 = make_field(3, 3)
+E13 = F13.ext
+
+COERCIONS = [
+    (F13, 20, 7),
+    (F13, -1, 12),
+    (F13, Fraction(3, 4), 4),
+    (F13, F13.elem(5), 5),
+    (F27, 5, (2, 0, 0)),
+    (F27, -1, (2, 0, 0)),
+    (F27, Fraction(1, 2), (2, 0, 0)),
+    (F27, F27.elem((1, 2, 0)), (1, 2, 0)),
+    (F27, (1, 2), (1, 2, 0)),
+    (F27, [4, 5, 6], (1, 2, 0)),
+    (E13, 20, (7, 0)),
+    (E13, -1, (12, 0)),
+    (E13, Fraction(1, 2), (7, 0)),
+    (E13, E13.elem((1, 2)), (1, 2)),
+    (E13, F13.elem(4), (4, 0)),
+    (E13, (3, 20), (3, 7)),
+]
+
+REJECTS = [
+    (F13, True, "cannot coerce True into GF(13)"),
+    (F13, 1.5, "cannot coerce 1.5 into GF(13)"),
+    (F13, "1", "cannot coerce '1' into GF(13)"),
+    (F13, (1, 2), "cannot coerce (1, 2) into GF(13)"),
+    (F13, make_field(17).one, "element belongs to a different field"),
+    (F27, False, "cannot coerce False into GF(27)"),
+    (F27, 1.5, "cannot coerce 1.5 into GF(27)"),
+    (F27, "12", "cannot coerce '12' into GF(27)"),
+    (F27, make_field(3, 2).one, "element belongs to a different field"),
+    (F27, (1, 2, 0, 1), "digit vector longer than the field degree"),
+    (E13, True, "cannot coerce True into GF(169)"),
+    (E13, 1.5, "cannot coerce 1.5 into GF(169)"),
+    (E13, "1", "cannot coerce '1' into GF(169)"),
+    (E13, make_field(17).one, "element belongs to a different field"),
+    (E13, (1, 2, 3), "cannot coerce (1, 2, 3) into GF(169)"),
+    (E13, [1, 2], "cannot coerce [1, 2] into GF(169)"),
+    (E13, (1.5, 0), "cannot coerce 1.5 into GF(13)"),
+]
+
+
+class TestCoercionTable:
+    @pytest.mark.parametrize("field, x, rep", COERCIONS)
+    def test_accepts(self, field, x, rep):
+        assert field.rep_of(x) == rep
+        assert field.elem(x).rep == rep
+
+    @pytest.mark.parametrize("field, x, message", REJECTS)
+    def test_rejects(self, field, x, message):
+        with pytest.raises(DomainError) as info:
+            field.rep_of(x)
+        assert str(info.value) == message
+
+
+class TestFieldIdentity:
+    def test_hash_values(self):
+        assert hash(make_field(13)) == hash(("PrimeField", 13))
+        assert hash(make_field(3, 3)) == hash(("ExtensionField", 3, 3))
+        assert hash(make_field(13).ext) == hash(("QuadraticExtension", make_field(13)))
+        assert hash(make_field(3, 2).ext) == hash(("QuadraticExtension", make_field(3, 2)))
+
+    def test_equality(self):
+        assert make_field(13) == make_field(13) and make_field(13) != make_field(17)
+        assert make_field(3, 3) == make_field(3, 3) != make_field(3, 2)
+        assert make_field(13).ext == make_field(13).ext != make_field(17).ext
+        assert make_field(13) != make_field(13).ext
+        assert make_field(3, 2) != make_field(3, 2).ext
+        assert make_field(13) != 13
+
+
+class TestRepOrderIsCanonical:
+    @pytest.mark.parametrize(
+        "field",
+        [make_field(13), make_field(3, 3), make_field(3, 2).ext, make_field(13).ext],
+        ids=["F13", "F27", "F9.ext", "F13.ext"],
+    )
+    def test_sorted_reps_follow_elements(self, field):
+        reps = [a.rep for a in elements(field)]
+        assert reps == sorted(reps) and len(set(reps)) == field.q
+        assert [field.rep_at(i) for i in range(field.q)] == reps
