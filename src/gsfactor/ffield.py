@@ -119,7 +119,8 @@ class FieldCtx:
       (``rpow`` defaults to square-and-multiply);
     * ``_rep_of_int``, and ``_rep_of_other`` where the class coerces more than
       elements, ints and Fractions;
-    * ``rep_at`` / ``index_of`` (position in the canonical order) and
+    * ``rep_at`` / ``index_of`` (position in the canonical order),
+      ``reps`` (every rep in that order; walks ``rep_at`` by default) and
       ``str_rep``.
 
     Reps are ints, digit tuples or pairs of those, and their natural order is
@@ -170,6 +171,10 @@ class FieldCtx:
     def _rep_of_other(self, x):
         """Coercion hook for further input kinds; None rejects ``x``."""
         return None
+
+    def reps(self):
+        """Every representative once, in canonical order."""
+        return map(self.rep_at, range(self.q))
 
     # -- powers, character, roots, orders ------------------------------------
 
@@ -373,6 +378,10 @@ class ExtensionField(FieldCtx):
             digits.append(r)
         return tuple(reversed(digits))
 
+    def reps(self):
+        # digit tuples in lexicographic order, constant digit most significant
+        return itertools.product(range(self.p), repeat=self.k)
+
     def index_of(self, a) -> int:
         i = 0
         for d in a:
@@ -450,9 +459,12 @@ class QuadraticExtension(FieldCtx):
         return (br.rneg(a[0]), br.rneg(a[1]))
 
     def rmul(self, a, b):
-        br = self.base
         a0, a1 = a
         b0, b1 = b
+        if self.k == 2:  # prime base field: int arithmetic, no base-field calls
+            p = self.p
+            return ((a0 * b0 + self.nu * a1 * b1) % p, (a0 * b1 + a1 * b0) % p)
+        br = self.base
         re = br.radd(br.rmul(a0, b0), br.rmul(self.nu, br.rmul(a1, b1)))
         im = br.radd(br.rmul(a0, b1), br.rmul(a1, b0))
         return (re, im)
@@ -656,5 +668,5 @@ def elements(ctx: FieldCtx):
     """Yield every element once, in canonical order.  Guarded at 10^7."""
     if ctx.q > ENUM_LIMIT:
         raise DomainError(f"refusing to enumerate a field of size {ctx.q}")
-    for i in range(ctx.q):
-        yield FieldElement(ctx, ctx.rep_at(i))
+    for rep in ctx.reps():
+        yield FieldElement(ctx, rep)

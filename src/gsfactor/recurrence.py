@@ -51,56 +51,83 @@ class RecurrenceProfile:
 
 
 def build_profile(ctx: FieldCtx, c) -> RecurrenceProfile:
-    """Run the recurrence to its period and freeze the root conventions."""
+    """Run the recurrence to its period and freeze the root conventions.
+
+    The recurrence and the per-index checks run on representatives, with
+    beta^-k kept as a running product of one inverse of beta; elements are
+    built only for the stored tuples.  Every failed check names q, c and the
+    stage.
+    """
     c = ctx.elem(c)
     if quad_char(c) != 1 or quad_char(1 - c) != 1:
         raise DomainError("need both c and 1-c to be nonzero squares")
 
-    coef = 2 - 4 * c
-    twoc = 2 * c
-    terms = [ctx.zero, c]
-    while terms[-1]:
-        terms.append(coef * terms[-1] - terms[-2] + twoc)
+    def where(stage, k=None):
+        at = "" if k is None else f" at k={k}"
+        return f"{at} (q={ctx.q}, c={c}, stage={stage})"
+
+    radd, rsub, rmul = ctx.radd, ctx.rsub, ctx.rmul
+    zero, one = ctx.zero_rep, ctx.one_rep
+    coef = (2 - 4 * c).rep
+    twoc = (2 * c).rep
+    terms = [zero, c.rep]
+    while terms[-1] != zero:
+        terms.append(radd(rsub(rmul(coef, terms[-1]), terms[-2]), twoc))
         if len(terms) > ctx.q + 1:
-            raise InvariantError("recurrence failed to return to zero")
+            raise InvariantError("recurrence failed to return to zero" + where("recurrence"))
     e = len(terms) - 1
 
     ext = ctx.ext
-    i = ext.i
-    beta = ext.embed(sqrt(1 - c)) + i * ext.embed(sqrt(c))
+    beta = ext.embed(sqrt(1 - c)) + ext.i * ext.embed(sqrt(c))
     order = mult_order(beta)
     if order % 2 == 1:
         beta, order = -beta, 2 * order
     if order != 2 * e:
-        raise InvariantError("generator order does not match the period")
+        raise InvariantError(
+            f"generator order {order} does not match the period 2e = {2 * e}" + where("order")
+        )
 
-    quarter = ext.elem(Fraction(1, 4))
-    half_i = i * ext.elem(Fraction(-1, 2))
+    eadd, esub, emul = ext.radd, ext.rsub, ext.rmul
+    neg_quarter = ext.rep_of(Fraction(-1, 4))
+    half = ext.rep_of(Fraction(1, 2))
+    half_i = emul(ext.i.rep, ext.rep_of(Fraction(-1, 2)))
+    b, binv = beta.rep, ext.rinv(beta.rep)
     sq_t, sq_om, sq_pr = [], [], []
-    bk = ext.one
+    bk = bki = ext.one_rep
     for k in range(e + 1):
-        bki = bk.inverse()
-        if ext.project(-quarter * (bk - bki) ** 2) != terms[k]:
-            raise InvariantError("closed form disagrees with the recurrence")
-        st = ext.project(half_i * (bk - bki))
-        so = ext.project((bk + bki) / 2)
-        sp = ext.project(half_i * (bk * bk - bki * bki) / 2)
-        if st * st != terms[k] or so * so != 1 - terms[k] or st * so != sp:
-            raise InvariantError("root conventions are inconsistent")
+        diff = esub(bk, bki)
+        ck = emul(neg_quarter, emul(diff, diff))
+        if ck[1] != zero:
+            raise DomainError("closed form has a nonzero t-coordinate" + where("closed-form", k))
+        if ck[0] != terms[k]:
+            raise InvariantError(
+                "closed form disagrees with the recurrence" + where("closed-form", k)
+            )
+        st = emul(half_i, diff)
+        so = emul(eadd(bk, bki), half)
+        sp = emul(emul(half_i, esub(emul(bk, bk), emul(bki, bki))), half)
+        if st[1] != zero or so[1] != zero or sp[1] != zero:
+            raise DomainError("a root has a nonzero t-coordinate" + where("roots", k))
+        st, so, sp = st[0], so[0], sp[0]
+        if rmul(st, st) != terms[k] or rmul(so, so) != rsub(one, terms[k]) or rmul(st, so) != sp:
+            raise InvariantError("root conventions are inconsistent" + where("roots", k))
         sq_t.append(st)
         sq_om.append(so)
         sq_pr.append(sp)
-        bk = bk * beta
+        bk, bki = emul(bk, b), emul(bki, binv)
+
+    def elems(reps):
+        return tuple(FieldElement(ctx, r) for r in reps)
 
     return RecurrenceProfile(
         ctx=ctx,
         c=c,
         e=e,
-        terms=tuple(terms),
+        terms=elems(terms),
         beta=beta,
-        sqrt_term=tuple(sq_t),
-        sqrt_one_minus=tuple(sq_om),
-        sqrt_product=tuple(sq_pr),
+        sqrt_term=elems(sq_t),
+        sqrt_one_minus=elems(sq_om),
+        sqrt_product=elems(sq_pr),
     )
 
 

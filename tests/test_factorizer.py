@@ -214,7 +214,7 @@ class TestIrreducibility:
             assert is_irreducible_gs(CTX13, s) == is_irreducible(build_g(CTX13, s))
 
     def test_two_routes_agree(self):
-        for q in (7, 13, 17, 19, 9, 27, 25):
+        for q in (7, 13, 17, 19, 9, 27, 25, 81, 121):
             ctx = build_ctx(make_field_q(q))
             assert tuple(irreducible_s_values(ctx)) == tuple(half_sum_s_values(ctx))
 

@@ -138,10 +138,12 @@ class TestCanonicalOrder:
         assert len(seq) == 9 and len(set(seq)) == 9
 
     def test_index_bijection(self):
-        for F in (make_field(13), make_field(3, 2), make_field(5, 2)):
-            for i, a in enumerate(elements(F)):
-                assert F.index_of(a.rep) == i
-                assert F.rep_at(i) == a.rep
+        # extension fields enumerate through their own reps(), not rep_at
+        for p, k in ((13, 1), (3, 2), (5, 2), (3, 3), (5, 3), (3, 7)):
+            F = make_field(p, k)
+            reps = [a.rep for a in elements(F)]
+            assert reps == [F.rep_at(i) for i in range(F.q)]
+            assert [F.index_of(r) for r in reps] == list(range(F.q))
 
     def test_keys_strictly_increasing(self):
         for F in (make_field(13), make_field(3, 3)):
@@ -284,6 +286,22 @@ class TestQuadraticExtension:
         assert ext.nu == 18  # -1 itself; modulus t^2 + 1
         assert ext.i.rep == (0, 1)  # i is t
         assert ext.i * ext.i == -ext.one
+
+    def test_prime_base_products_against_sympy(self):
+        # both moduli: t^2 - 2 over F_13 and t^2 + 1 over F_19
+        t = sympy.symbols("t")
+        for p in (13, 19):
+            ext = make_field(p).ext
+            mod = sympy.Poly(t**2 - ext.nu, t, modulus=p)
+            rng = random.Random(p)
+            for _ in range(40):
+                a = (rng.randrange(p), rng.randrange(p))
+                b = (rng.randrange(p), rng.randrange(p))
+                pa = sympy.Poly(a[0] + a[1] * t, t, modulus=p)
+                pb = sympy.Poly(b[0] + b[1] * t, t, modulus=p)
+                coeffs = [int(c) % p for c in reversed((pa * pb).rem(mod).all_coeffs())]
+                coeffs += [0] * (2 - len(coeffs))
+                assert ext.rmul(a, b) == tuple(coeffs)
 
     def test_embed_project_roundtrip(self):
         F = make_field(19)
