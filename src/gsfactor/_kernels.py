@@ -1,7 +1,7 @@
 """Coefficient-vector kernels: the package's polynomial arithmetic.
 
-``Poly`` products and division, the extension-field modulus search and the
-factorization oracle all run here.
+Every ``Poly`` operation but evaluation, the extension-field modulus search
+and the factorization oracle run here.
 
 The algorithms (square-free decomposition, distinct-degree splitting,
 equal-degree splitting, Rabin irreducibility) are written once against a

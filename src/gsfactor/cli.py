@@ -14,7 +14,9 @@ Fields are given either as positional tokens (``q=13``, ``p=3,k=2``,
 ``s=6``) or through ``--field``/``--s``.  Element literals may be integers,
 fractions such as ``-1/2``, or comma-separated base-p digits for extension
 fields.  Exit codes: 0 success, 2 usage or domain error, 3 violated
-mathematical invariant (including any verification mismatch).
+mathematical invariant (including any verification mismatch).  When the
+reader of stdout goes away early (``gsfactor atlas q=199 | head -1``), the
+console script stops writing and exits with 1, printing nothing to stderr.
 """
 
 from __future__ import annotations
@@ -380,7 +382,14 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    sys.exit(main(sys.argv[1:]))
+    try:
+        code = main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout now points at devnull, so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -123,10 +123,10 @@ def factor_shape_poly(profile) -> Poly:
     return acc
 
 
-def _shape_preimages(ctx: DicksonCtx, s: FieldElement, profile) -> tuple:
-    """The shape of s's profile and the E/e simple offsets m with shape - m | g_s."""
+def _shape_preimages(ctx: DicksonCtx, s: FieldElement, profile, g: Poly) -> tuple:
+    """The shape of s's profile and the E/e simple offsets m with shape - m | g = g_s."""
     shape = factor_shape_poly(profile)
-    h = decompose_by(build_g(ctx, s).monic(), shape)
+    h = decompose_by(g.monic(), shape)
     where = f"q={ctx.field.q}, s={s}"
     if h is None:
         raise InvariantError(f"the family polynomial is not composed of the shape ({where})")
@@ -142,6 +142,7 @@ def _closed_form(ctx: DicksonCtx, s) -> tuple:
     """One closed-form pass: (s, case tag, factorization, offsets or None)."""
     field = ctx.field
     s, tag, profile = _classify(ctx, s)
+    g = build_g(ctx, s)
     ms = None
     x = Poly.x(field)
     one = field.one
@@ -171,12 +172,12 @@ def _closed_form(ctx: DicksonCtx, s) -> tuple:
             t = s + w
             factors.append((x * x - (1 + s * w) * x + t * t / 4, 1))
     else:
-        shape, ms = _shape_preimages(ctx, s, profile)
+        shape, ms = _shape_preimages(ctx, s, profile, g)
         factors = [(shape - m, 1) for m in ms]
 
     lead = ctx.tau * ctx.tau / 2
     result = Factorization(lead, factors)
-    if result.expand() != build_g(ctx, s):
+    if result.expand() != g:
         raise InvariantError(f"closed form for q={ctx.field.q}, s={s} failed reconstruction")
     return s, tag, result, ms
 
@@ -192,7 +193,7 @@ def constant_terms(ctx: DicksonCtx, s):
     s, tag, profile = _classify(ctx, s)
     if tag.kind is not CaseKind.DEGREE_E:
         raise DomainError("constant terms are defined only in the degree-e case")
-    return profile.e, _shape_preimages(ctx, s, profile)[1]
+    return profile.e, _shape_preimages(ctx, s, profile, build_g(ctx, s))[1]
 
 
 def is_irreducible_gs(ctx: DicksonCtx, s) -> bool:
@@ -285,7 +286,8 @@ def norm_residuacity(ctx: DicksonCtx, d: int) -> list:
         s, tag, profile = _classify(ctx, s)
         if tag.e != d:
             continue
-        nc = _norm_class(ctx, s, d, _shape_preimages(ctx, s, profile)[1])
+        ms = _shape_preimages(ctx, s, profile, build_g(ctx, s))[1]
+        nc = _norm_class(ctx, s, d, ms)
         if nc.membership is SignClass.NEITHER:
             raise InvariantError(
                 f"degree-d parameter outside both sign classes (q={field.q}, s={s})"

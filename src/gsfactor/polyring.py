@@ -2,11 +2,11 @@
 factorization oracle (square-free / distinct-degree / equal-degree splitting
 with a seeded RNG, so identical runs give identical output).
 
-Products and division go to the vector kernel that ``_kernels.kernel_for``
-picks for the field; sums, derivatives and evaluation stay coefficient-wise.
-
-Coefficients run low degree to high; the zero polynomial has an empty
-coefficient tuple and degree ``-inf``.
+A ``Poly`` holds the field's coefficient reps (ints, digit tuples or pairs),
+low degree to high, trimmed; the zero polynomial has none and degree
+``-inf``.  Every operation but evaluation is one call on the vector kernel
+that ``_kernels.kernel_for`` picks; ``FieldElement``s are built only when
+coefficients are read (``coeffs``, ``coeff``, ``lead``, evaluation).
 """
 
 from __future__ import annotations
@@ -26,17 +26,23 @@ DEFAULT_SEED = 1729
 class Poly:
     """Immutable dense polynomial over one field context."""
 
-    __slots__ = ("ctx", "coeffs")
+    __slots__ = ("ctx", "reps")
 
     def __init__(self, ctx: FieldCtx, coeffs=()):
-        elems = [c if isinstance(c, FieldElement) else ctx.elem(c) for c in coeffs]
-        for c in elems:
-            if c.ctx is not ctx and c.ctx != ctx:
+        reps = []
+        for c in coeffs:
+            if isinstance(c, FieldElement) and c.ctx is not ctx and c.ctx != ctx:
                 raise DomainError("coefficient from a different field")
-        while elems and not elems[-1]:
-            elems.pop()
+            reps.append(ctx.rep_of(c))
+        while reps and reps[-1] == ctx.zero_rep:
+            reps.pop()
         object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "coeffs", tuple(elems))
+        object.__setattr__(self, "reps", tuple(reps))
+
+    def _vectors(self, bound: int, *others):
+        """The kernel picked at degree ``bound``; self's and others' vectors on it."""
+        ker = _kernels.kernel_for(self.ctx, bound)
+        return (ker, ker.from_reps(self.reps), *(ker.from_reps(g.reps) for g in others))
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -56,51 +62,55 @@ class Poly:
     # -- structure -----------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple:
+        """The coefficients as field elements, built on each read."""
+        return tuple(FieldElement(self.ctx, r) for r in self.reps)
+
+    @property
     def degree(self):
         """Degree as an int; -inf for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INFINITY
+        return len(self.reps) - 1 if self.reps else NEG_INFINITY
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.reps
 
     @property
     def lead(self) -> FieldElement:
-        if not self.coeffs:
+        if not self.reps:
             raise DomainError("the zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return FieldElement(self.ctx, self.reps[-1])
 
     @property
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == self.ctx.one
+        return bool(self.reps) and self.reps[-1] == self.ctx.one_rep
 
     def coeff(self, i: int) -> FieldElement:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.ctx.zero
+        rep = self.reps[i] if 0 <= i < len(self.reps) else self.ctx.zero_rep
+        return FieldElement(self.ctx, rep)
 
     def key(self):
-        """Canonical sort key: (degree, coefficient keys low-to-high)."""
-        return (len(self.coeffs), tuple(c.key() for c in self.coeffs))
+        """Canonical sort key: (degree, coefficient reps low-to-high)."""
+        return (len(self.reps), self.reps)
 
     # -- arithmetic -----------------------------------------------------------
 
-    def _check_ctx(self, other: "Poly"):
-        if other.ctx != self.ctx:
-            raise DomainError("polynomials over different fields")
-
     def _as_poly(self, other) -> "Poly | None":
         if isinstance(other, Poly):
-            self._check_ctx(other)
+            if other.ctx != self.ctx:
+                raise DomainError("polynomials over different fields")
             return other
         if isinstance(other, (FieldElement, int, Fraction)):
-            return Poly(self.ctx, [self.ctx.elem(other)])
+            # rep_of embeds a base-field scalar, which the constructor would reject
+            return Poly(self.ctx, [self.ctx.rep_of(other)])
         return None
 
     def __add__(self, other):
         other = self._as_poly(other)
         if other is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.ctx, [self.coeff(i) + other.coeff(i) for i in range(n)])
+        ker, a, b = self._vectors(max(len(self.reps), len(other.reps)), other)
+        return Poly(self.ctx, ker.to_reps(ker.add(a, b)))
 
     __radd__ = __add__
 
@@ -108,34 +118,31 @@ class Poly:
         other = self._as_poly(other)
         if other is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.ctx, [self.coeff(i) - other.coeff(i) for i in range(n)])
+        ker, a, b = self._vectors(max(len(self.reps), len(other.reps)), other)
+        return Poly(self.ctx, ker.to_reps(ker.sub(a, b)))
 
     def __rsub__(self, other):
-        other = self._as_poly(other)
-        if other is None:
-            return NotImplemented
-        return other - self
+        return -self + other
 
     def __neg__(self):
-        return Poly(self.ctx, [-c for c in self.coeffs])
+        ker, a = self._vectors(len(self.reps))
+        return Poly(self.ctx, ker.to_reps(ker.neg(a)))
 
     def __mul__(self, other):
         if isinstance(other, (FieldElement, int, Fraction)):
-            c = self.ctx.elem(other)
-            return Poly(self.ctx, [a * c for a in self.coeffs])
-        if not isinstance(other, Poly):
+            ker, a = self._vectors(len(self.reps))
+            return Poly(self.ctx, ker.to_reps(ker.scale(a, self.ctx.rep_of(other))))
+        other = self._as_poly(other)
+        if other is None:
             return NotImplemented
-        self._check_ctx(other)
-        ker = _kernels.kernel_for(self.ctx, len(self.coeffs) + len(other.coeffs))
-        return _from_vec(ker, ker.mul(_vec(ker, self), _vec(ker, other)))
+        ker, a, b = self._vectors(len(self.reps) + len(other.reps), other)
+        return Poly(self.ctx, ker.to_reps(ker.mul(a, b)))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (FieldElement, int, Fraction)):
-            c = self.ctx.elem(other)
-            return self * c.inverse()
+            return self * self.ctx.elem(other).inverse()
         return NotImplemented
 
     def __pow__(self, e: int):
@@ -153,10 +160,9 @@ class Poly:
     def __divmod__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        self._check_ctx(other)
-        ker = _kernels.kernel_for(self.ctx, len(self.coeffs))
-        q, r = ker.pdivmod(_vec(ker, self), _vec(ker, other))
-        return _from_vec(ker, q), _from_vec(ker, r)
+        ker, a, b = self._vectors(len(self.reps), self._as_poly(other))
+        q, r = ker.pdivmod(a, b)
+        return Poly(self.ctx, ker.to_reps(q)), Poly(self.ctx, ker.to_reps(r))
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -165,15 +171,17 @@ class Poly:
         return divmod(self, other)[1]
 
     def __call__(self, a) -> FieldElement:
-        """Evaluate by Horner's rule."""
-        a = self.ctx.elem(a)
-        acc = self.ctx.zero
-        for c in reversed(self.coeffs):
-            acc = acc * a + c
-        return acc
+        """Evaluate by Horner's rule, on reps."""
+        ctx = self.ctx
+        a = ctx.rep_of(a)
+        acc = ctx.zero_rep
+        for c in reversed(self.reps):
+            acc = ctx.radd(ctx.rmul(acc, a), c)
+        return FieldElement(ctx, acc)
 
     def derivative(self) -> "Poly":
-        return Poly(self.ctx, [i * c for i, c in enumerate(self.coeffs)][1:])
+        ker, a = self._vectors(len(self.reps))
+        return Poly(self.ctx, ker.to_reps(ker.deriv(a)))
 
     def monic(self) -> "Poly":
         if self.is_zero:
@@ -185,27 +193,16 @@ class Poly:
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.ctx == other.ctx and self.coeffs == other.coeffs
+        return self.ctx == other.ctx and self.reps == other.reps
 
     def __hash__(self):
-        return hash((self.ctx, self.coeffs))
+        return hash((self.ctx, self.reps))
 
     def __str__(self):
         return poly_str(self)
 
     def __repr__(self):
         return f"Poly({self.ctx!r}, {self})"
-
-
-def _vec(ker, f: Poly):
-    """The kernel vector of f's coefficients."""
-    return ker.from_reps([c.rep for c in f.coeffs])
-
-
-def _from_vec(ker, v) -> Poly:
-    """The Poly with a kernel vector's coefficients."""
-    ctx = ker.ctx
-    return Poly(ctx, [FieldElement(ctx, r) for r in ker.to_reps(v)])
 
 
 def poly(ctx: FieldCtx, coeffs) -> Poly:
@@ -217,18 +214,18 @@ def poly_str(f: Poly, var: str = "y") -> str:
     """Canonical text form, highest degree first."""
     if f.is_zero:
         return "0"
+    ctx = f.ctx
+    wrap = "({})" if not isinstance(ctx, PrimeField) else "{}"
     parts = []
-    wrap = not isinstance(f.ctx, PrimeField)
-    for i in range(len(f.coeffs) - 1, -1, -1):
-        c = f.coeffs[i]
-        if not c:
+    for i, c in reversed(list(enumerate(f.reps))):
+        if c == ctx.zero_rep:
             continue
-        cs = f"({c})" if wrap else str(c)
+        cs = wrap.format(ctx.str_rep(c))
         if i == 0:
             parts.append(cs)
         else:
             xs = var if i == 1 else f"{var}^{i}"
-            parts.append(xs if c == f.ctx.one else f"{cs}*{xs}")
+            parts.append(xs if c == ctx.one_rep else f"{cs}*{xs}")
     return " + ".join(parts)
 
 
@@ -238,7 +235,7 @@ def decompose_by(G: Poly, N: Poly) -> Poly | None:
     Returns None when G is not a polynomial in N (a signaled outcome, not an
     error).  Requires N monic of degree >= 1 and deg G a multiple of deg N.
     """
-    G._check_ctx(N)
+    G._as_poly(N)  # raises DomainError for another field
     if N.degree < 1 or not N.is_monic:
         raise DomainError("decompose_by needs a monic N of degree >= 1")
     if G.is_zero:
@@ -251,7 +248,7 @@ def decompose_by(G: Poly, N: Poly) -> Poly | None:
         cur, r = divmod(cur, N)
         if r.degree > 0:
             return None
-        digits.append(r.coeff(0))
+        digits.append(r.reps[0] if r.reps else G.ctx.zero_rep)
     return Poly(G.ctx, digits)
 
 
@@ -327,12 +324,12 @@ def factorize(f: Poly, seed: int | None = None) -> Factorization:
         raise DomainError("cannot factor the zero polynomial")
     ctx = f.ctx
     if f.degree == 0:
-        return Factorization(f.coeffs[0], [])
-    ker = _kernels.kernel_for(ctx, int(f.degree))
-    lead_rep, vm = ker.make_monic(_vec(ker, f))
+        return Factorization(f.lead, [])
+    ker, v = f._vectors(len(f.reps))
+    lead_rep, vm = ker.make_monic(v)
     seed = DEFAULT_SEED if seed is None else seed
     raw = ker.factor_monic(vm, random.Random(seed))
-    factors = [(_from_vec(ker, vec), m) for vec, m in raw]
+    factors = [(Poly(ctx, ker.to_reps(vec)), m) for vec, m in raw]
     fact = Factorization(FieldElement(ctx, lead_rep), factors)
     if sum(g.degree * m for g, m in fact.factors) != f.degree:
         raise InvariantError(
@@ -345,8 +342,8 @@ def is_irreducible(f: Poly) -> bool:
     """Rabin irreducibility test (q-power steps through the Frobenius matrix)."""
     if f.degree < 1:
         return False
-    ker = _kernels.kernel_for(f.ctx, int(f.degree))
-    return ker.is_irreducible(ker.make_monic(_vec(ker, f))[1])
+    ker, v = f._vectors(len(f.reps))
+    return ker.is_irreducible(ker.make_monic(v)[1])
 
 
 def roots_in_field(f: Poly, seed: int | None = None) -> list[FieldElement]:
@@ -356,18 +353,13 @@ def roots_in_field(f: Poly, seed: int | None = None) -> list[FieldElement]:
     if f.degree == 0:
         return []
     ctx = f.ctx
-    ker = _kernels.kernel_for(ctx, int(f.degree))
+    ker, v = f._vectors(len(f.reps))
     rng = random.Random(DEFAULT_SEED if seed is None else seed)
-    reps = ker.distinct_roots(ker.make_monic(_vec(ker, f))[1], rng)
     out = []
-    for rep in sorted(reps):
-        root = FieldElement(ctx, rep)
-        lin = Poly(ctx, [-root, 1])
-        cur = f
-        while True:
-            q, r = divmod(cur, lin)
-            if not r.is_zero:
-                break
-            out.append(root)
-            cur = q
+    for rep in sorted(ker.distinct_roots(ker.make_monic(v)[1], rng)):
+        lin = ker.from_reps([ctx.rneg(rep), ctx.one_rep])
+        q, r = ker.pdivmod(v, lin)
+        while ker.deg(r) < 0:  # one more factor y - root
+            out.append(FieldElement(ctx, rep))
+            v, (q, r) = q, ker.pdivmod(q, lin)
     return out

@@ -4,6 +4,7 @@ import json
 import os
 import shlex
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -227,6 +228,20 @@ class TestAtlas:
                 assert rec["e"] and rec["constant_terms"] and rec["b_set"]
             else:
                 assert rec["e"] is None and rec["constant_terms"] is None
+
+    def test_closed_stdout_ends_quietly(self):
+        # the console entry point with its reader gone after one line; q = 199
+        # writes about 270 KB, far more than the pipe holds
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        argv = [sys.executable, "-m", "gsfactor.cli", "atlas", "q=199"]
+        proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert json.loads(first)["s"] == 0
+        assert "Traceback" not in err and err == ""
 
 
 class TestIrreducible:

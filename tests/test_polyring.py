@@ -11,10 +11,12 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsfactor import _kernels
 from gsfactor.errors import DomainError, InvariantError
-from gsfactor.ffield import elements, make_field
+from gsfactor.ffield import FieldElement, elements, make_field
 from gsfactor.polyring import (
     Factorization,
     Poly,
@@ -310,3 +312,129 @@ class TestFactorizationType:
         assert elem_json(F9.elem((1, 2))) == [1, 2]
         ext = F13.ext
         assert elem_json(ext.elem((3, 4))) == "3+4*t"
+
+
+# -- Poly arithmetic as properties, against a coefficient-wise reference -----
+#
+# Coefficients are drawn by canonical index, so every example is reproducible
+# from the integers hypothesis reports.  One field per kernel route:
+# ModPKernel (F_13, F_101), DigitKernel (F_27, F_25), ObjectKernel (quadratic
+# extensions, and F_{2^40+15} past the int64 guard).
+
+F9 = make_field(3, 2)
+PROP_FIELDS = {
+    "F13": F13,
+    "F101": make_field(101),
+    "F27": make_field(3, 3),
+    "F25": make_field(5, 2),
+    "F13.ext": F13.ext,
+    "F9.ext": F9.ext,
+    "F2^40+15": make_field(2**40 + 15),
+}
+PROPERTY = settings(derandomize=True, max_examples=40, deadline=None)
+INDEX = st.integers(min_value=0, max_value=2**48)  # past q = 2^40 + 15
+INDICES = st.lists(INDEX, max_size=8)
+over_prop_fields = pytest.mark.parametrize(
+    "field", PROP_FIELDS.values(), ids=PROP_FIELDS.keys()
+)
+
+
+def elem_at(field, i):
+    return FieldElement(field, field.rep_at(i % field.q))
+
+
+def ref_trim(cs):
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def ref_add(field, f, g, sign=1):
+    n = max(len(f), len(g))
+    f, g = f + [field.zero] * (n - len(f)), g + [field.zero] * (n - len(g))
+    return ref_trim(a + sign * b for a, b in zip(f, g))
+
+
+def ref_mul(field, f, g):
+    out = [field.zero] * max(len(f) + len(g) - 1, 0)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = out[i + j] + a * b
+    return ref_trim(out)
+
+
+def ref_divmod(field, f, g):
+    """Schoolbook long division of trimmed coefficient lists, g nonzero."""
+    r, q = list(f), [field.zero] * max(len(f) - len(g) + 1, 0)
+    inv = g[-1].inverse()
+    for i in range(len(q) - 1, -1, -1):
+        q[i] = c = r[i + len(g) - 1] * inv
+        for j, b in enumerate(g):
+            r[i + j] = r[i + j] - c * b
+    return ref_trim(q), ref_trim(r)
+
+
+@over_prop_fields
+@PROPERTY
+@given(fi=INDICES, gi=INDICES, c=INDEX)
+def test_ring_ops_match_reference(field, fi, gi, c):
+    fc, gc = [elem_at(field, i) for i in fi], [elem_at(field, i) for i in gi]
+    f, g, k = Poly(field, fc), Poly(field, gc), elem_at(field, c)
+    fr, gr = ref_trim(fc), ref_trim(gc)
+    assert list(f.coeffs) == fr and len(f.reps) == len(fr)
+    assert list((f + g).coeffs) == ref_add(field, fr, gr)
+    assert list((f - g).coeffs) == ref_add(field, fr, gr, sign=-1)
+    assert list((-f).coeffs) == ref_trim(-a for a in fr)
+    assert list((f * k).coeffs) == list((k * f).coeffs) == ref_trim(a * k for a in fr)
+    assert list((f * g).coeffs) == ref_mul(field, fr, gr)
+    assert list(f.derivative().coeffs) == ref_trim(i * a for i, a in enumerate(fr))[1:]
+    if k:
+        assert list((f / k).coeffs) == ref_trim(a / k for a in fr)
+    total = field.zero
+    for i, a in enumerate(fr):
+        total = total + a * k**i
+    assert f(k) == total
+
+
+@over_prop_fields
+@PROPERTY
+@given(fi=INDICES, gi=st.lists(INDEX, min_size=1, max_size=8))
+def test_divmod_matches_reference(field, fi, gi):
+    fc, gc = [elem_at(field, i) for i in fi], [elem_at(field, i) for i in gi]
+    f, g = Poly(field, fc), Poly(field, gc)
+    if g.is_zero:
+        with pytest.raises(ZeroDivisionError):
+            divmod(f, g)
+        return
+    q, r = divmod(f, g)
+    assert (list(q.coeffs), list(r.coeffs)) == ref_divmod(field, ref_trim(fc), ref_trim(gc))
+    assert q * g + r == f
+    assert r.is_zero or r.degree < g.degree
+
+
+FOREIGN = {
+    "F13<-F17": (F13, make_field(17).one),
+    "F13<-F13.ext": (F13, F13.ext.one),
+    "F13.ext<-F13": (F13.ext, F13.elem(2)),  # a base-field element is not embedded
+    "F9.ext<-F9": (F9.ext, F9.one),
+    "F27<-F9": (make_field(3, 3), F9.one),
+    "F9<-F3": (F9, make_field(3).one),
+}
+
+
+@pytest.mark.parametrize("field, coeff", FOREIGN.values(), ids=FOREIGN.keys())
+def test_foreign_coefficients_raise(field, coeff):
+    with pytest.raises(DomainError, match="coefficient from a different field"):
+        Poly(field, [field.one, coeff])
+
+
+@over_prop_fields
+def test_coeffs_round_trip(field):
+    cs = [elem_at(field, i) for i in (5, 0, 7, 1)]
+    f = Poly(field, cs)
+    assert f.coeffs == tuple(cs) and Poly(field, f.coeffs) == f
+    assert Poly(field, f.reps) == f and f.key() == (4, tuple(c.rep for c in cs))
+    assert f.lead == cs[-1] and f.coeff(9) == field.zero
+    with pytest.raises(DomainError, match="different fields"):
+        f + Poly.x(make_field(7))
