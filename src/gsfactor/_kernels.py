@@ -30,10 +30,19 @@ matrix of f (row i is x^(q*i) mod f), built once per square-free part and
 restricted to each piece that equal-degree splitting splits (von zur
 Gathen & Shoup, Comput. Complexity 2, 1992; Kaltofen & Shoup, Math. Comp.
 67, 1998).
+
+The numpy kernels' ``gcd`` runs Euclid's remainder sequence on lists of
+Python ints, with no numpy call per step.  ``ModPKernel`` keeps residues
+mod p, and takes its steps whose divisor has degree above
+``EUCLID_LIST_MAX_DEGREE`` as one ``pdivmod`` each.  ``DigitKernel`` runs
+every step on the log codes of the field's ``ZechTables``, built on its
+first gcd and cached on the field (fields of at most ``ZECH_MAX_Q``
+elements; larger ones keep ``Kernel.gcd``).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -51,9 +60,67 @@ FROBENIUS_MAX_ENTRIES = 1 << 20
 # at 1024-1031; over F_125, 0.6 at 600 and 0.98 at 800.  The table also
 # costs about 4x the Newton inverse to build.
 TABLE_MAX_DEGREE = 800
+# Over a prime field Euclid's remainder sequence runs on lists of Python
+# ints once the divisor's degree is at most this; above it each step is one
+# ``pdivmod``.  A whole Euclid of a random pair of degree d over F_199 and
+# F_1009, numpy / lists (best of 5, 2-core x86-64 VM): 2.7-4.2 at d = 20,
+# 1.4-1.8 at 80, 1.1-1.4 at 120, 0.98-1.1 at 160, 0.85-1.04 at 200, 0.6-0.7
+# at 300.  Lists at every degree took factorize(g_4) over F_1009 from 0.67 to
+# 1.05 s.  Over F_169, F_625 and F_{3^7} the log-code lists win 1.3-7x even
+# at d = 300, so ``DigitKernel`` has no such bound.
+EUCLID_LIST_MAX_DEGREE = 160
+# Extension fields up to this size get ``ZechTables``, built on the first
+# gcd over the field; above it ``DigitKernel.gcd`` is ``Kernel.gcd``.
+# Building them (best of 3, same VM):
+# 0.1-2 ms up to q = 3^7, mostly the search for a primitive element; 6.7 ms
+# and 1.0 MiB kept at 3^9; 15 ms and 4.2 MiB at 5^7; 0.25 s and 28 MiB at 3^12.
+ZECH_MAX_Q = 1 << 16
 # A draw splits a product of degree-d factors with probability about 1/2, so
 # this many failures in a row (odds near 2^-64) means an arithmetic fault.
 MAX_FAILED_DRAWS = 64
+
+
+class ZechTables:
+    """Exp, log and Zech-logarithm tables of an extension field F_q.
+
+    g is the first element of order q - 1 in canonical order.  A nonzero
+    element g^n has the log code n in [0, q - 1); zero has the code q - 1.
+    Elements are addressed by ``index_of``:
+
+    * ``log[index_of(a)]`` is the code of a (so ``log[0] == q - 1``);
+    * ``exp[n]`` is ``index_of(g^n)``, and ``exp[q - 1] == 0``;
+    * ``zech[n]`` is the code of 1 + g^n, a list of q - 1 Python ints; it
+      is q - 1 only at n = (q - 1) / 2, where g^n = -1.
+
+    With them a product is a sum of codes mod q - 1, and a sum is
+    g^m + g^n = g^(m + zech[n - m]).  ``log`` and ``exp`` are int64 arrays.
+    The powers of g are built by doubling: the block g^m .. g^(2m-1) is the
+    block 1 .. g^(m-1) times the digit matrix of multiplication by g^m."""
+
+    def __init__(self, field: ExtensionField):
+        p, k, q = field.p, field.k, field.q
+        self.g = next(
+            a for a in map(field.rep_at, itertools.count(1)) if field.mult_order_rep(a) == q - 1
+        )
+        # row u: the digits of t^u * g, so a digit row times it is that element times g
+        step = np.array(
+            [field.rmul(tuple(int(u == j) for j in range(k)), self.g) for u in range(k)],
+            dtype=np.int64,
+        )
+        powers = np.zeros((q - 1, k), dtype=np.int64)
+        powers[0, 0] = 1
+        m = 1
+        while m < q - 1:
+            n = min(m, q - 1 - m)
+            powers[m : m + n] = powers[:n] @ step % p
+            step = step @ step % p
+            m += n
+        self.weights = p ** np.arange(k - 1, -1, -1, dtype=np.int64)  # index_of
+        self.exp = np.append(powers @ self.weights, 0)
+        self.log = np.empty(q, dtype=np.int64)
+        self.log[self.exp] = np.arange(q, dtype=np.int64)
+        powers[:, 0] = (powers[:, 0] + 1) % p
+        self.zech = self.log[powers @ self.weights].tolist()
 
 
 class _Reducer:
@@ -515,6 +582,20 @@ class ModPKernel(_ArrayKernel):
         n = table.shape[1]
         return (v[..., :n] + v[..., n:] @ table[: v.shape[-1] - n]) % self.p
 
+    def gcd(self, a, b):
+        """Monic gcd: ``pdivmod`` steps down to ``EUCLID_LIST_MAX_DEGREE``,
+        then the rest of the remainder sequence on lists of ints."""
+        while len(b) > EUCLID_LIST_MAX_DEGREE + 1:
+            a, b = b, self.pdivmod(a, b)[1]
+        p = self.p
+        a, b = a.tolist(), b.tolist()
+        while b:
+            a, b = b, _rem_modp(a, b, p)
+        if a and a[-1] != 1:
+            inv = pow(a[-1], -1, p)
+            a = [c * inv % p for c in a]
+        return np.array(a, dtype=np.int64)
+
     def pdivmod(self, a, b):
         if len(b) == 0:
             raise ZeroDivisionError("polynomial division by zero")
@@ -632,6 +713,24 @@ class DigitKernel(_ArrayKernel):
     def lead_rep(self, v):
         return tuple(int(d) for d in v[-1])
 
+    def gcd(self, a, b):
+        """Monic gcd, the remainder sequence on lists of the field's log
+        codes (``ZechTables``, built once per field and kept on it).  Fields
+        above ``ZECH_MAX_Q`` keep ``Kernel.gcd``."""
+        ctx = self.ctx
+        if ctx.q > ZECH_MAX_Q:
+            return Kernel.gcd(self, a, b)
+        tab = ctx.__dict__.get("_zech") or ctx.__dict__.setdefault("_zech", ZechTables(ctx))
+        zero = ctx.q - 1
+        a, b = tab.log[a @ tab.weights].tolist(), tab.log[b @ tab.weights].tolist()
+        while b:
+            a, b = b, _rem_zech(a, b, tab.zech, zero)
+        if a and a[-1]:  # code 0 is g^0 = 1: already monic
+            lead = a[-1]
+            a = [c if c == zero else (c - lead) % zero for c in a]
+        idx = tab.exp[np.array(a, dtype=np.int64)]
+        return idx[:, None] // tab.weights % self.p
+
     def pdivmod(self, a, b):
         if len(b) == 0:
             raise ZeroDivisionError("polynomial division by zero")
@@ -655,6 +754,60 @@ class DigitKernel(_ArrayKernel):
                 r[i : i + lb - 1] = (r[i : i + lb - 1] - (row @ rows).reshape(lb - 1, k)) % self.p
         q = self.trim(qv) if inv is None else self.scale(qv, inv)
         return q, self.trim(r[: lb - 1])
+
+
+def _rem_modp(a, b, p):
+    """a mod b for lists of ints in [0, p), b trimmed and nonzero.  a is
+    used up: the trimmed remainder is built in its place.
+
+    Quotient coefficients go in pairs, one pass over a for both: Euclid's
+    quotients mostly have exactly two.  A whole Euclid of a random pair of
+    degree d over F_199 and F_1009 took 1.2-1.6x as long with one
+    coefficient per pass (d = 10-160, best of 7, 2-core x86-64 VM)."""
+    top = len(b) - 1
+    if top == 0:
+        return []
+    inv = pow(b[-1], -1, p)
+    low = b[:-1]
+    shifted = [0] + low[:-1]
+    i = len(a) - 1 - top  # index of the next quotient coefficient
+    while i >= 1:
+        hi = a[i + top] * inv % p
+        lo = (a[i + top - 1] - hi * low[-1]) * inv % p
+        seg = a[i - 1 : i - 1 + top]
+        a[i - 1 : i - 1 + top] = [(x - lo * y - hi * z) % p for x, y, z in zip(seg, low, shifted)]
+        i -= 2
+    if i == 0:
+        c = a[top] * inv % p
+        a[:top] = [(x - c * y) % p for x, y in zip(a, low)]
+    del a[top:]
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _rem_zech(a, b, zech, zero):
+    """``_rem_modp`` on log codes: ``zero`` (= q - 1) is the code of 0 and
+    g^m + g^n = g^(m + zech[n - m]).  Subtracting c * b, c = a_top / b_lead,
+    adds the codes of -c * b_j, which are b_j + a_top - b_lead + (q - 1)/2."""
+    top = len(b) - 1
+    shift = zero // 2 - b[-1]
+    low = b[:-1]
+    for i in range(len(a) - 1 - top, -1, -1):
+        c = a[i + top]
+        if c != zero:
+            s = c + shift
+            a[i : i + top] = [
+                x if y == zero
+                else (y + s) % zero if x == zero
+                else z if (z := zech[(y + s - x) % zero]) == zero
+                else (x + z) % zero
+                for x, y in zip(a[i : i + top], low)
+            ]
+    del a[top:]
+    while a and a[-1] == zero:
+        a.pop()
+    return a
 
 
 class ObjectKernel(Kernel):

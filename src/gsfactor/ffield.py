@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import threading
 from fractions import Fraction
 
@@ -67,18 +68,68 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+# trial division runs below this bound; a composite cofactor left above it is
+# split by rho
+TRIAL_DIVISION_LIMIT = 1 << 10
+
+
 def _factor_int(n: int) -> dict[int, int]:
-    """Prime factorization by trial division."""
+    """Prime factorization, primes in increasing order.
+
+    Trial division by d below ``TRIAL_DIVISION_LIMIT`` stops as soon as the
+    cofactor is 1 or prime, so q - 1 = 2r with r prime costs one division
+    and one primality test.  A composite cofactor left over is split by
+    ``_rho_factor`` until every piece is prime."""
     out: dict[int, int] = {}
     d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
+    while d * d <= n and d < TRIAL_DIVISION_LIMIT:
+        if n % d == 0:
+            while n % d == 0:
+                out[d] = out.get(d, 0) + 1
+                n //= d
+            if _is_prime(n):
+                break
         d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+    pending = [n] if n > 1 else []
+    while pending:
+        m = pending.pop()
+        if _is_prime(m):
+            out[m] = out.get(m, 0) + 1
+        else:
+            f = _rho_factor(m)
+            pending += [f, m // f]
+    return dict(sorted(out.items()))
+
+
+def _rho_factor(n: int) -> int:
+    """A nontrivial factor of a composite n with no prime factor below
+    ``TRIAL_DIVISION_LIMIT``: Pollard's rho (BIT 15, 1975) with Brent's cycle
+    search and one gcd per 128 differences (Brent, BIT 20, 1980).  The map
+    is x -> x^2 + c for c = 1, 2, ... until one splits n, so the result is
+    deterministic."""
+    block = 128
+    for c in itertools.count(1):
+        y, r, acc, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(block, r - k)):
+                    y = (y * y + c) % n
+                    acc = acc * (x - y) % n
+                g = math.gcd(acc, n)
+                k += block
+            r *= 2
+        if g == n:  # the block overshot: redo it one difference at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g
 
 
 def _iroot(n: int, k: int) -> int:

@@ -8,6 +8,7 @@ implementation under test.
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from gsfactor.errors import DomainError
 from gsfactor.ffield import (
     FieldElement,
     PrimeField,
+    _factor_int,
     elements,
     make_field,
     make_field_q,
@@ -271,6 +273,37 @@ class TestMultOrder:
     def test_order_of_zero_rejected(self):
         with pytest.raises(DomainError):
             mult_order(make_field(13).zero)
+
+    def test_safe_prime(self):
+        p = 4611686018427394499  # p - 1 = 2r with r prime
+        start = time.perf_counter()
+        order = mult_order(make_field(p).elem(3))
+        assert time.perf_counter() - start < 1.0
+        assert order == sympy.n_order(3, p)
+
+
+class TestFactorInt:
+    def test_against_sympy(self):
+        cases = list(range(2, 3000)) + [
+            1031**2,  # a prime square above the trial-division limit
+            1031**3 * 1033,
+            3 * 2**40,
+            (2**31 - 1) ** 2,
+            1031 * 1033 * 1039 * 1049,
+            (10**9 + 7) * (10**9 + 9) * 3**5,
+            2**62 - 57,
+        ]
+        for n in cases:
+            got = _factor_int(n)
+            assert got == sympy.factorint(n), n
+            assert list(got) == sorted(got)
+        assert _factor_int(1) == {}
+
+    def test_two_primes_near_2_31(self):
+        start = time.perf_counter()
+        got = _factor_int(2147483647 * 2147483629)
+        assert time.perf_counter() - start < 1.0
+        assert got == {2147483629: 1, 2147483647: 1}
 
 
 class TestQuadraticExtension:

@@ -4,13 +4,15 @@
 reference: on seeded random polynomials the numpy kernels (``ModPKernel``
 over prime fields, ``DigitKernel`` over extension fields) must agree with it
 operation by operation.  The Frobenius matrix is checked against the powmod
-ladder it replaces, and the size rule that chooses between them at its edge.
+ladder it replaces, and the size rule that chooses between them at its edge;
+the gcd's list and Zech-logarithm sides on both sides of their bounds.
 """
 
 import math
 import random
 import time
 
+import numpy as np
 import pytest
 import sympy
 
@@ -324,6 +326,119 @@ class TestTableReduction:
         assert sorted((fast.to_reps(g), m) for g, m in got) == sorted(
             (ref.to_reps(g), m) for g, m in want
         )
+
+
+EUCLID_FIELDS = {"F199": (199, 1), "F169": (13, 2), "F3^7": (3, 7)}
+
+
+def gcd_case(F, rng, deg):
+    """Two ObjectKernel vectors of degree about ``deg`` with a common factor."""
+    ref = ObjectKernel(F)
+    common = ref.from_reps(rand_reps(F, rng.randrange(0, 4), rng))
+    a = ref.mul(common, ref.from_reps(rand_reps(F, deg - ref.deg(common), rng)))
+    b = ref.mul(common, ref.from_reps(rand_reps(F, deg - 1 - ref.deg(common), rng)))
+    return a, b
+
+
+class TestEuclid:
+    """The list and log-code sides of ``gcd`` against ``ObjectKernel``, on
+    both sides of ``EUCLID_LIST_MAX_DEGREE`` and ``ZECH_MAX_Q``."""
+
+    @pytest.fixture(params=sorted(EUCLID_FIELDS))
+    def efield(self, request):
+        return make_field(*EUCLID_FIELDS[request.param])  # a fresh field: no tables yet
+
+    def check(self, F, pairs):
+        fast, ref = fast_kernel(F), ObjectKernel(F)
+        for a, b in pairs:
+            got = fast.gcd(fast.from_reps(a), fast.from_reps(b))
+            assert got.dtype == np.int64 and got.shape[1:] == fast.row
+            assert fast.to_reps(got) == ref.gcd(ref.from_reps(a), ref.from_reps(b))
+
+    def count_pdivmod(self, F, monkeypatch):
+        calls = []
+        cls = type(fast_kernel(F))
+        real = cls.pdivmod
+        monkeypatch.setattr(cls, "pdivmod", lambda self, a, b: calls.append(1) or real(self, a, b))
+        return calls
+
+    def test_lists_below_the_bound(self, efield, monkeypatch):
+        calls = self.count_pdivmod(efield, monkeypatch)
+        rng = random.Random(7)
+        self.check(efield, [gcd_case(efield, rng, 20) for _ in range(10)])
+        assert not calls
+
+    def test_sequence_crosses_the_bound(self, efield, monkeypatch):
+        monkeypatch.setattr(_kernels, "EUCLID_LIST_MAX_DEGREE", 4)
+        calls = self.count_pdivmod(efield, monkeypatch)
+        rng = random.Random(8)
+        self.check(efield, [gcd_case(efield, rng, 20) for _ in range(10)])
+        # over F_p the head ran through pdivmod and the tail on lists; log
+        # codes carry every step over F_{p^k}
+        assert bool(calls) == (efield.k == 1)
+
+    def test_log_codes_above_the_bound(self, monkeypatch):
+        F = make_field(*EUCLID_FIELDS["F169"])
+        calls = self.count_pdivmod(F, monkeypatch)
+        rng = random.Random(11)
+        deg = _kernels.EUCLID_LIST_MAX_DEGREE + 40
+        self.check(F, [gcd_case(F, rng, deg) for _ in range(2)])
+        assert not calls
+
+    def test_zech_bound_falls_back(self, monkeypatch):
+        F = make_field(*EUCLID_FIELDS["F169"])
+        monkeypatch.setattr(_kernels, "ZECH_MAX_Q", F.q - 1)
+        calls = self.count_pdivmod(F, monkeypatch)
+        rng = random.Random(9)
+        self.check(F, [gcd_case(F, rng, 12) for _ in range(10)])
+        assert calls and "_zech" not in F.__dict__
+        monkeypatch.setattr(_kernels, "ZECH_MAX_Q", F.q)
+        self.check(F, [gcd_case(F, rng, 12)])
+        assert "_zech" in F.__dict__
+
+    def test_edge_inputs(self, efield):
+        F, rng = efield, random.Random(10)
+        a, b = gcd_case(F, rng, 9)
+        unit = rand_reps(F, 0, rng)  # a nonzero constant
+        zero = []
+        pairs = [(zero, zero), (a, zero), (zero, b), (a, a), (b, b), (unit, unit)]
+        pairs += [(unit, a), (a, unit), (unit, zero), (zero, unit), (a[:1], b[:1])]
+        self.check(F, pairs)
+
+
+class TestZechTables:
+    @pytest.mark.parametrize("p, k", [(3, 2), (3, 3), (5, 3), (13, 2)])
+    def test_tables(self, p, k):
+        F = make_field(p, k)
+        tab, q = _kernels.ZechTables(F), F.q
+        assert F.mult_order_rep(tab.g) == q - 1
+        assert all(F.mult_order_rep(F.rep_at(i)) < q - 1 for i in range(1, F.index_of(tab.g)))
+        power = F.one_rep
+        for n in range(q - 1):
+            assert tab.exp[n] == F.index_of(power)
+            assert tab.zech[n] == tab.log[F.index_of(F.radd(F.one_rep, power))]
+            power = F.rmul(power, tab.g)
+        assert power == F.one_rep
+        assert tab.exp[q - 1] == 0 and tab.log[0] == q - 1
+        assert sorted(tab.exp.tolist()) == list(range(q))
+        assert tab.log[tab.exp].tolist() == list(range(q))
+        assert tab.exp[tab.log].tolist() == list(range(q))
+        assert [n for n in range(q - 1) if tab.zech[n] == q - 1] == [(q - 1) // 2]
+
+    def test_built_once_per_field(self, monkeypatch):
+        built = []
+        real = _kernels.ZechTables
+        monkeypatch.setattr(_kernels, "ZechTables", lambda F: built.append(F) or real(F))
+        F = make_field(5, 2)
+        a = [F.rep_at(i) for i in (3, 7, 1)]
+        b = [F.rep_at(i) for i in (2, 1)]
+        ker = kernel_for(F, 10)
+        assert not built  # nothing is built before the first gcd
+        first = ker.gcd(ker.from_reps(a), ker.from_reps(b))
+        ker2 = kernel_for(F, 10)
+        assert ker2 is not ker
+        assert ker2.eq(ker2.gcd(ker2.from_reps(a), ker2.from_reps(b)), first)
+        assert built == [F]
 
 
 class TestKernelChoice:
