@@ -544,7 +544,7 @@ class ModPKernel(_ArrayKernel):
     """Prime-field vectors as numpy int64 arrays."""
 
     def to_reps(self, v):
-        return [int(c) for c in v]
+        return v.tolist()
 
     def trim(self, v):
         n = len(v)
@@ -609,12 +609,14 @@ class ModPKernel(_ArrayKernel):
         r = a.copy()
         qlen = len(a) - lb + 1
         qv = np.zeros(qlen, dtype=np.int64)
+        # r is reduced lazily: a coefficient takes at most min(qlen, lb - 1)
+        # subtractions below p^2, which kernel_for's int64 guard covers
         for i in range(qlen - 1, -1, -1):
-            c = int(r[i + lb - 1])
+            c = int(r[i + lb - 1]) % p
             if c:
                 qv[i] = c
-                r[i : i + lb - 1] = (r[i : i + lb - 1] - c * bm_low) % p
-        return self.trim(qv * inv % p), self.trim(r[: lb - 1])
+                r[i : i + lb - 1] -= c * bm_low
+        return self.trim(qv * inv % p), self.trim(r[: lb - 1] % p)
 
 
 class DigitKernel(_ArrayKernel):
@@ -628,7 +630,7 @@ class DigitKernel(_ArrayKernel):
         self._fold = np.array(ctx._red, dtype=np.int64) if ctx.k > 1 else None
 
     def to_reps(self, v):
-        return [tuple(int(d) for d in row) for row in v]
+        return list(map(tuple, v.tolist()))
 
     def trim(self, v):
         n = len(v)

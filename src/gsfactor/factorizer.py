@@ -6,7 +6,9 @@ quadratic characters of 1 - s^2 and (1+s)/2.  Three special values (s = 1,
 Two generic character patterns also stay in degree at most two.  The last
 case produces factors of a common degree e >= 3: every irreducible factor is
 the shape polynomial of the recurrence with parameter c = 1 - s^2, shifted
-by a constant.
+by a constant.  With T_E the Chebyshev polynomial, g_s(y) = T_E(1 - 2y) - s
+and the shape is (-1)^e 2^(1-2e) (T_e(1 - 2y) - 1) (Lidl, Mullen and
+Turnwald, Dickson Polynomials, 1993).
 
 Every route ends with a reconstruction check: the product of the claimed
 factors, times the leading unit, must equal g_s coefficient for coefficient.
@@ -20,11 +22,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ._kernels import kernel_for
 from .dickson import DicksonCtx, build_g
 from .errors import DomainError, InvariantError
 from .ffield import FieldElement, elements, mult_order, quad_char, sqrt
-from .polyring import DEFAULT_SEED, Factorization, Poly, factorize, roots_in_field
-from .polyring import decompose_by
+from .polyring import DEFAULT_SEED, Factorization, Poly, decompose_by, factorize, roots_in_field
 
 
 class CaseKind(enum.Enum):
@@ -105,37 +107,42 @@ def classify(ctx: DicksonCtx, s) -> CaseTag:
 
 def factor_shape_poly(profile) -> Poly:
     """The monic degree-e polynomial vanishing (with the right multiplicities)
-    exactly on the first period of the recurrence:
-
-        e odd:   y * prod_{k=1}^{(e-1)/2} (y - c_k)^2
-        e even:  (y^2 - y) * prod_{k=1}^{(e-2)/2} (y - c_k)^2
+    exactly on the first period of the recurrence: y, or y^2 - y for even e,
+    times prod (y - c_k)^2 over 0 < k < e/2.  It equals
+    (-1)^e 2^(1-2e) (T_e(1 - 2y) - 1), so it depends on e alone; T_e comes
+    from T_{a+b} = 2 T_a T_b - T_{a-b} on the pair (T_k, T_{k+1}) over the
+    bits of e, in 2 bitlen(e) kernel products.
     """
-    x = Poly.x(profile.ctx)
-    if profile.e % 2:
-        acc = x
-        top = (profile.e - 1) // 2
-    else:
-        acc = x * x - x
-        top = (profile.e - 2) // 2
-    for k in range(1, top + 1):
-        lin = x - profile.terms[k]
-        acc = acc * lin * lin
-    return acc
+    field, e = profile.ctx, profile.e
+    ker, two = kernel_for(field, e + 1), field.rep_of(2)
+    step = lambda a, b, c: ker.sub(ker.scale(ker.mul(a, b), two), c)
+    one, x = ker.one(), ker.from_reps([field.one_rep, field.rep_of(-2)])
+    lo, hi = one, x
+    for bit in bin(e)[2:]:
+        mid = step(lo, hi, x)
+        lo, hi = (mid, step(hi, hi, one)) if bit == "1" else (step(lo, lo, one), mid)
+    unit = (field.one / 2) ** (2 * e - 1) * (-1) ** e
+    return Poly(field, ker.to_reps(ker.scale(ker.sub(lo, one), unit.rep)))
 
 
 def _shape_preimages(ctx: DicksonCtx, s: FieldElement, profile, g: Poly) -> tuple:
     """The shape of s's profile and the E/e simple offsets m with shape - m | g = g_s."""
     shape = factor_shape_poly(profile)
     h = decompose_by(g.monic(), shape)
-    where = f"q={ctx.field.q}, s={s}"
     if h is None:
-        raise InvariantError(f"the family polynomial is not composed of the shape ({where})")
+        raise _failure(ctx, s, "shape", "the family polynomial is not composed of the shape")
     rs = roots_in_field(h)
     if len(rs) != h.degree or len(set(r.rep for r in rs)) != len(rs):
-        raise InvariantError(f"shape offsets are not simple field roots ({where})")
+        raise _failure(ctx, s, "offsets", "shape offsets are not simple field roots")
     if len(rs) != ctx.E // profile.e:
-        raise InvariantError(f"wrong number of shape offsets ({where})")
+        raise _failure(ctx, s, "offsets", "wrong number of shape offsets")
     return shape, tuple(sorted(rs, key=lambda r: r.key()))
+
+
+def _failure(ctx: DicksonCtx, s: FieldElement, stage: str, what: str) -> InvariantError:
+    """A closed-form failure naming the stage, q, s and the command that replays it."""
+    at = f"q={ctx.field.q} s={s}"
+    return InvariantError(f"{what} (stage={stage} {at} replay: gsfactor factor {at})")
 
 
 def _closed_form(ctx: DicksonCtx, s) -> tuple:
@@ -178,7 +185,7 @@ def _closed_form(ctx: DicksonCtx, s) -> tuple:
     lead = ctx.tau * ctx.tau / 2
     result = Factorization(lead, factors)
     if result.expand() != g:
-        raise InvariantError(f"closed form for q={ctx.field.q}, s={s} failed reconstruction")
+        raise _failure(ctx, s, "reconstruct", "the closed form failed reconstruction")
     return s, tag, result, ms
 
 

@@ -9,6 +9,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from shape_oracle import product_shape
 
 from gsfactor.dickson import build_ctx, build_g
 from gsfactor.factorizer import (
@@ -19,7 +20,6 @@ from gsfactor.factorizer import (
     cubic_norm_complement,
     degree_table_check,
     factor_closed_form,
-    factor_shape_poly,
     is_irreducible_gs,
 )
 from gsfactor.ffield import (
@@ -228,8 +228,9 @@ def test_criterion_5_structural_laws(sweep):
                 degs = sorted(g.degree for g, m in generic.factors for _ in range(m))
                 if degs != [e] * (ctx.E // e):
                     failures.append(f"q={q} s={s}: generic degrees {degs}")
-                # factor-shape law: all closed factors share their nonconstant part
-                shape = factor_shape_poly(build_profile(field, 1 - s * s))
+                # factor-shape law: all closed factors share their nonconstant
+                # part, the product over the recurrence's first period
+                shape = product_shape(build_profile(field, 1 - s * s))
                 for g, _ in closed.factors:
                     if g - g.coeff(0) != shape:
                         failures.append(f"q={q} s={s}: factor off-shape")

@@ -5,11 +5,14 @@ test_polyring) serves as the independent reference throughout.
 """
 
 import re
+from fractions import Fraction
 
 import pytest
+from shape_oracle import product_shape
 
 from gsfactor import factorizer, ffield, polyring
-from gsfactor._kernels import Kernel
+from gsfactor._kernels import Kernel, ObjectKernel
+from gsfactor.cli import _odd_prime_powers
 from gsfactor.dickson import build_ctx, build_g
 from gsfactor.errors import DomainError, InvariantError
 from gsfactor.factorizer import (
@@ -37,6 +40,15 @@ CTX13 = build_ctx(make_field(13))
 CTX17 = build_ctx(make_field(17))
 CTX19 = build_ctx(make_field(19))
 CTX37 = build_ctx(make_field(37))
+
+
+def degree_e_profiles(field):
+    """The profiles of c = 1 - s^2 over the degree-e parameters s, one per c."""
+    cs = {}
+    for s in elements(field):
+        if s not in (field.one, -field.one, field.zero) and quad_char(1 - s * s) == 1:
+            cs.setdefault((1 - s * s).rep, 1 - s * s)
+    return [build_profile(field, c) for c in cs.values()]
 
 
 class TestClassify:
@@ -160,6 +172,40 @@ class TestShapePoly:
         assert not N(CTX19.field.zero)
         for k in range(1, 5):
             assert not N(prof.term(k))
+
+
+class TestChebyshevShape:
+    """``factor_shape_poly`` against the product over the recurrence's terms."""
+
+    def test_every_profile_up_to_200(self):
+        fields = profiles = 0
+        for q in _odd_prime_powers(200):
+            fields += 1
+            for prof in degree_e_profiles(make_field_q(q)):
+                profiles += 1
+                assert factor_shape_poly(prof) == product_shape(prof), f"q={q} e={prof.e}"
+        assert (fields, profiles) == (53, 1154)
+
+    def test_object_kernel(self, monkeypatch):
+        # the kernel used past the int64 guard, forced on small fields
+        monkeypatch.setattr(factorizer, "kernel_for", lambda ctx, bound: ObjectKernel(ctx))
+        for q in (13, 27, 37):
+            for prof in degree_e_profiles(make_field_q(q)):
+                assert factor_shape_poly(prof) == product_shape(prof)
+
+    def test_table_rows_are_chebyshev_over_q(self):
+        # T_{k+1} = 2 x T_k - T_{k-1} on exact coefficient lists in y, x = 1 - 2y
+        def chebyshev(e):
+            prev, cur = [Fraction(1)], [Fraction(1), Fraction(-2)]
+            for _ in range(e - 1):
+                twice = [2 * (a - 2 * b) for a, b in zip(cur + [0], [0] + cur)]
+                prev, cur = cur, [a - b for a, b in zip(twice, prev + [0, 0])]
+            return cur
+
+        for e in TABLE_DEGREES:
+            unit = Fraction((-1) ** e, 2 ** (2 * e - 1))
+            want = [unit * (c - (i == 0)) for i, c in enumerate(chebyshev(e))]
+            assert want == [Fraction(c) for c in factorizer._SHAPE_TABLE[e][2]], e
 
 
 class TestConstantTerms:
@@ -366,17 +412,22 @@ class TestInvariantContext:
             factor_closed_form(CTX13, 6)
         assert re.search(r"\bq=13\b", str(err.value))
         assert re.search(r"\bs=6\b", str(err.value))
+        assert "stage=reconstruct " in str(err.value)
+        assert str(err.value).endswith("replay: gsfactor factor q=13 s=6)")
 
     @pytest.mark.parametrize(
         "name, stub",
         [("decompose_by", lambda f, shape: None), ("roots_in_field", lambda h: [])],
     )
     def test_shape_preimages_name_field_and_parameter(self, monkeypatch, name, stub):
+        stage = {"decompose_by": "shape", "roots_in_field": "offsets"}[name]
         monkeypatch.setattr(factorizer, name, stub)
         with pytest.raises(InvariantError) as err:
             constant_terms(CTX13, 6)
         assert re.search(r"\bq=13\b", str(err.value))
         assert re.search(r"\bs=6\b", str(err.value))
+        assert f"stage={stage} " in str(err.value)
+        assert str(err.value).endswith("replay: gsfactor factor q=13 s=6)")
 
 
 class TestOracleEquivalence:

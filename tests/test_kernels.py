@@ -463,3 +463,42 @@ class TestKernelChoice:
         # k * (degree + 1) * (p - 1)^2 reaching 2^62 leaves the int64 kernels
         assert isinstance(kernel_for(F, 2**62 // (3 * 16) - 1), DigitKernel)
         assert isinstance(kernel_for(F, 2**62 // (3 * 16)), ObjectKernel)
+
+    def test_pdivmod_at_the_int64_bound(self):
+        # ModPKernel.pdivmod reduces its remainder lazily; at the largest
+        # dividend the guard allows, each coefficient still fits in int64
+        p = sympy.prevprime(2**29)
+        F = make_field(p)
+        bound = 2**62 // (p - 1) ** 2 - 1
+        assert isinstance(kernel_for(F, bound), ModPKernel)
+        assert isinstance(kernel_for(F, bound + 1), ObjectKernel)
+        fast, ref = both(F)
+        rng = random.Random(3)
+        for lb in range(2, bound + 1):
+            a = [p - 1 - rng.randrange(3) for _ in range(bound - 1)] + [1]
+            b = rand_reps(F, lb - 1, rng)
+            qf, rf = fast.pdivmod(fast.from_reps(a), fast.from_reps(b))
+            qr, rr = ref.pdivmod(ref.from_reps(a), ref.from_reps(b))
+            assert same(fast, ref, qf, qr) and same(fast, ref, rf, rr)
+
+
+class TestToReps:
+    """``to_reps`` hands plain ints (ModP) or tuples of plain ints (Digit) to
+    ``Poly``, whose hashing and equality compare reps directly."""
+
+    @pytest.mark.parametrize("F", [make_field(199), make_field(13, 2), make_field(3, 7)])
+    def test_plain_python_reps(self, F):
+        ker = fast_kernel(F)
+        rng = random.Random(11)
+        for deg in (0, 1, 7, 60):
+            v = ker.from_reps(rand_reps(F, deg, rng))
+            if F.k == 1:
+                want = [int(c) for c in v]
+            else:
+                want = [tuple(int(d) for d in row) for row in v]
+            got = ker.to_reps(v)
+            assert got == want
+            assert all(type(r) is (int if F.k == 1 else tuple) for r in got)
+            assert all(type(d) is int for r in got if F.k > 1 for d in r)
+            assert hash(Poly(F, got)) == hash(Poly(F, want))
+        assert ker.to_reps(ker.from_reps([])) == []
