@@ -9,7 +9,8 @@ small primitive interface.  Three implementations trade generality for
 speed:
 
 * ``ModPKernel``  -- prime fields, numpy int64 vectors, convolution products.
-* ``DigitKernel`` -- extension fields F_{p^k}, vectors of base-p digit rows.
+* ``DigitKernel`` -- extension fields F_{p^k}, vectors of base-p digit rows;
+  a product is one packed convolution, a matrix application one product.
 * ``ObjectKernel``-- any context, plain lists of representatives; slow but
   it is the reference the fast kernels are tested against.
 
@@ -620,47 +621,43 @@ class ModPKernel(_ArrayKernel):
 
 
 class DigitKernel(_ArrayKernel):
-    """Extension-field vectors as (ncoeffs, k) arrays of base-p digits."""
+    """Extension-field vectors as (ncoeffs, k) arrays of base-p digits.
+
+    A product is one packed convolution: with each coefficient's k digits in
+    a slot of 2k - 1 (Kronecker substitution), one ``np.convolve`` of the
+    flat arrays gives the product's digits up to t^(2k-2), folded back in
+    one product.  A matrix application is one product with the matrix's
+    (rows, n*k) view, its digit shifts folded back in one more.  The fold
+    tables are the field's, built on its first kernel and kept on it."""
 
     def __init__(self, ctx: ExtensionField):
         super().__init__(ctx)
         self.kk = self.width = ctx.k
         self.row = (ctx.k,)
-        # fold table: row j = digits of t^(k+j) modulo the field modulus
-        self._fold = np.array(ctx._red, dtype=np.int64) if ctx.k > 1 else None
+        tables = ctx.__dict__.get("_t_powers") or _t_powers(ctx)
+        self._tpow, self._tpair = ctx.__dict__.setdefault("_t_powers", tables)
 
     def to_reps(self, v):
         return list(map(tuple, v.tolist()))
 
     def trim(self, v):
-        n = len(v)
-        while n and not v[n - 1].any():
-            n -= 1
-        return v[:n]
+        nz = v.ravel().nonzero()[0]
+        return v[: nz[-1] // self.kk + 1 if len(nz) else 0]
 
     def mul(self, a, b):
         if len(a) == 0 or len(b) == 0:
             return a[:0]
-        k = self.kk
-        wide = np.zeros((len(a) + len(b) - 1, 2 * k - 1), dtype=np.int64)
-        for u in range(k):
-            au = a[:, u]
-            if not au.any():
-                continue
-            for w in range(k):
-                bw = b[:, w]
-                if bw.any():
-                    wide[:, u + w] += np.convolve(au, bw)
-        return self.trim(self._fold_wide(wide))
+        # row i: digits of t^0 .. t^(2k-2) of coefficient i, folded through _tpow
+        wide = np.convolve(self._packed(a), self._packed(b)).reshape(-1, 2 * self.kk - 1)
+        return self.trim((wide % self.p) @ self._tpow % self.p)
 
-    def _fold_wide(self, wide):
-        """Digit rows of degree up to 2k-2 in t (last axis) -> reduced digits."""
+    def _packed(self, v):
+        """v's digits in slots of 2k - 1, flat, less the last slot's k - 1
+        zeros; slot i of a product of two holds the sum of a_j * b_(i-j)."""
         k = self.kk
-        wide %= self.p
-        out = wide[..., :k]
-        if k > 1:
-            out = out + wide[..., k:] @ self._fold
-        return out % self.p
+        out = np.zeros((len(v), 2 * k - 1), dtype=np.int64)
+        out[:, :k] = v
+        return out.ravel()[: out.size - k + 1]
 
     def _t_multiples(self, v):
         """(k, len(v), k) array whose entry u is t^u * v, digit by digit."""
@@ -670,7 +667,7 @@ class DigitKernel(_ArrayKernel):
             prev = out[u - 1]
             out[u, :, 0] = 0
             out[u, :, 1:] = prev[:, :-1]
-            out[u] = (out[u] + prev[:, -1:] * self._fold[0]) % self.p
+            out[u] = (out[u] + prev[:, -1:] * self._tpow[self.kk]) % self.p
         return out
 
     def apply_matrix(self, mat, v):
@@ -678,16 +675,13 @@ class DigitKernel(_ArrayKernel):
 
     def _apply(self, mat, vs):
         """sum_i v_i * row_i for a vector v of shape (L, k), or for each
-        vector of a stack of shape (..., L, k); untrimmed."""
+        vector of a stack of shape (..., L, k); untrimmed.  Digit u of v
+        times the (L, n*k) view gives the [u, i, x] terms of t^(u+x) in
+        coefficient i, folded through the table of t^(u+x)."""
         ell, (n, k) = vs.shape[-2], mat.shape[1:]
-        flat = mat[:ell].reshape(ell, n * k)
-        lead = vs.shape[:-2]
-        wide = np.zeros(lead + (n, 2 * k - 1), dtype=np.int64)
-        for u in range(k):
-            vu = vs[..., u]
-            if vu.any():
-                wide[..., u : u + k] += (vu @ flat).reshape(lead + (n, k))
-        return self._fold_wide(wide)
+        part = vs.swapaxes(-1, -2) @ mat[:ell].reshape(ell, n * k) % self.p
+        part = part.reshape(part.shape[:-1] + (n, k)).swapaxes(-3, -2)
+        return part.reshape(part.shape[:-2] + (k * k,)) @ self._tpair % self.p
 
     def extend_table(self, table, rows):
         old, n, k = table.shape
@@ -812,6 +806,15 @@ def _rem_zech(a, b, zech, zero):
     return a
 
 
+def _t_powers(field: ExtensionField):
+    """Digits of t^0 .. t^(2k-2) modulo the field modulus, as a (2k-1, k)
+    array, and the (k*k, k) array whose row u*k + x is t^(u+x)."""
+    k = field.k
+    red = np.array(field._red[: k - 1], dtype=np.int64).reshape(-1, k)
+    tpow = np.vstack([np.eye(k, dtype=np.int64), red])
+    return tpow, tpow[np.add.outer(np.arange(k), np.arange(k)).ravel()]
+
+
 class ObjectKernel(Kernel):
     """List-of-representatives fallback; works over any field context."""
 
@@ -898,10 +901,10 @@ class ObjectKernel(Kernel):
 
 def kernel_for(ctx: FieldCtx, degree_bound: int) -> Kernel:
     """Pick the fastest kernel that is exact for this field and size."""
-    # product and Frobenius-matrix accumulators sum up to
-    # k * (degree_bound + 1) terms below p^2; they must stay within int64
+    # product accumulators sum up to k * (degree_bound + 1) terms below p^2,
+    # matrix applications up to degree_bound + 1 and then k * k; all within int64
     if isinstance(ctx, (PrimeField, ExtensionField)):
-        if ctx.k * (degree_bound + 1) * (ctx.p - 1) ** 2 >= 2**62:
+        if ctx.k * max(ctx.k, degree_bound + 1) * (ctx.p - 1) ** 2 >= 2**62:
             return ObjectKernel(ctx)
     if isinstance(ctx, PrimeField):
         return ModPKernel(ctx)

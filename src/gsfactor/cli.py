@@ -111,8 +111,9 @@ def _odd_prime_powers(limit: int):
             yield q
 
 
-def _case_report(ctx: DicksonCtx, s) -> tuple:
-    """(JSON record, Factorization, constant terms or None) for one s."""
+def _case_report(ctx: DicksonCtx, s, with_json: bool = True) -> tuple:
+    """(JSON record, Factorization, constant terms or None) for one s; the
+    record's factorization is None unless ``with_json``."""
     s, tag, fac, ms = _closed_form(ctx, s)
     rec = {
         "s": elem_json(s),
@@ -121,7 +122,7 @@ def _case_report(ctx: DicksonCtx, s) -> tuple:
         "constant_terms": None,
         "residue": None,
         "b_set": None,
-        "factorization": fac.to_json(),
+        "factorization": fac.to_json() if with_json else None,
     }
     if ms is not None:
         nc = _norm_class(ctx, s, tag.e, ms)
@@ -142,7 +143,7 @@ def _cmd_factor(args, out) -> int:
     field = _parse_field_spec(field_spec)
     ctx = build_ctx(field)
     s = _parse_elem(field, s_literal)
-    rec, fac, ms = _case_report(ctx, s)
+    rec, fac, ms = _case_report(ctx, s, args.format == "json")
     if args.format == "json":
         _emit(rec, out)
         return 0

@@ -148,14 +148,15 @@ class Poly:
     def __pow__(self, e: int):
         if not isinstance(e, int) or e < 0:
             raise DomainError("polynomial powers take nonnegative int exponents")
-        out = Poly.one(self.ctx)
-        base = self
+        # bitlen(e) - 1 squarings and popcount(e) - 1 other products
+        out, base = None, self
         while e:
             if e & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             e >>= 1
-        return out
+            if e:
+                base = base * base
+        return Poly.one(self.ctx) if out is None else out
 
     def __divmod__(self, other):
         if not isinstance(other, Poly):

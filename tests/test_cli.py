@@ -19,7 +19,7 @@ from gsfactor.factorizer import (
     sign_class,
 )
 from gsfactor.ffield import elements, quad_char
-from gsfactor.polyring import elem_json
+from gsfactor.polyring import Factorization, elem_json
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -56,6 +56,17 @@ class TestFactor:
         assert rec["constant_terms"] == [10, 12]
         assert rec["b_set"] == "B_d_prime" and rec["residue"] == 1
         assert rec["factorization"]["lead"] == 7
+
+    def test_text_mode_builds_no_json(self, capsys, monkeypatch):
+        built = []
+        real = Factorization.to_json
+        monkeypatch.setattr(Factorization, "to_json", lambda f: built.append(f) or real(f))
+        code, out, _ = run_cli(capsys, "factor", "q=13", "s=6")
+        assert code == 0 and "g_s = 7 * (y^3" in out
+        assert built == []
+        code, out, _ = run_cli(capsys, "factor", "q=13", "s=6", "--format", "json")
+        assert code == 0 and json.loads(out)["factorization"]["lead"] == 7
+        assert len(built) == 1
 
     def test_extension_field_digits(self, capsys):
         code, out, _ = run_cli(

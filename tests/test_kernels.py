@@ -8,6 +8,7 @@ ladder it replaces, and the size rule that chooses between them at its edge;
 the gcd's list and Zech-logarithm sides on both sides of their bounds.
 """
 
+import itertools
 import math
 import random
 import time
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 import sympy
 
-from gsfactor import _kernels
+from gsfactor import _kernels, ffield
 from gsfactor._kernels import DigitKernel, ModPKernel, ObjectKernel, kernel_for
 from gsfactor.errors import InvariantError
 from gsfactor.ffield import make_field
@@ -502,3 +503,125 @@ class TestToReps:
             assert all(type(d) is int for r in got if F.k > 1 for d in r)
             assert hash(Poly(F, got)) == hash(Poly(F, want))
         assert ker.to_reps(ker.from_reps([])) == []
+
+
+def untrimmed(ker, v, zeros):
+    """v with ``zeros`` zero coefficients on top, as ``fold`` returns vectors."""
+    return np.concatenate([v, np.zeros((zeros, ker.kk), dtype=np.int64)])
+
+
+def rand_matrix(F, rows, n, rng):
+    return [[F.rep_at(rng.randrange(F.q)) for _ in range(n)] for _ in range(rows)]
+
+
+DIGIT_FIELDS = [(3, 2), (3, 3), (3, 4), (5, 3), (13, 2), (3, 7)]
+
+
+class TestPackedDigitKernel:
+    """``DigitKernel``'s packed products, one-product matrix applications and
+    one-call trim against ``ObjectKernel``, over F_9 .. F_169 and F_{3^7}."""
+
+    @pytest.fixture(params=DIGIT_FIELDS, ids=lambda pk: f"F{pk[0]}^{pk[1]}")
+    def efield(self, request):
+        return make_field(*request.param)
+
+    def test_mul_untrimmed(self, efield):
+        fast, ref = both(efield)
+        rng = random.Random(31)
+        for la in range(1, 41):
+            lb = rng.randrange(1, 41)
+            a, b = rand_reps(efield, la - 1, rng), rand_reps(efield, lb - 1, rng)
+            fa = untrimmed(fast, fast.from_reps(a), rng.randrange(3))
+            fb = untrimmed(fast, fast.from_reps(b), rng.randrange(3))
+            got = fast.mul(fa, fb)
+            assert same(fast, ref, got, ref.mul(ref.from_reps(a), ref.from_reps(b)))
+            assert len(got) == la + lb - 1
+        zero = untrimmed(fast, fast.from_reps([]), 3)
+        assert len(fast.mul(zero, fast.from_reps(a))) == 0
+        assert len(fast.mul(fast.from_reps([]), fast.from_reps(a))) == 0
+
+    def test_matrix_applications(self, efield):
+        fast, ref = both(efield)
+        rng = random.Random(32)
+        for rows, n in ((1, 1), (3, 5), (12, 4), (25, 25)):
+            reps = rand_matrix(efield, rows, n, rng)
+            fmat = fast.to_matrix([fast.from_reps(r) for r in reps], n)
+            rmat = ref.to_matrix([ref.from_reps(r) for r in reps], n)
+            for ell in range(rows + 1):
+                v = rand_reps(efield, ell - 1, rng) if ell else []
+                want = ref.apply_matrix(rmat, ref.from_reps(v))
+                assert same(fast, ref, fast.apply_matrix(fmat, fast.from_reps(v)), want)
+            # fold: the low n coefficients plus the rest through the table
+            v = rand_reps(efield, n + rows - 1, rng)
+            want = ref.fold(ref.from_reps(v), rmat)
+            assert same(fast, ref, fast.trim(fast.fold(fast.from_reps(v), fmat)), want)
+            # a stack of vectors padded to one length, folded row by row
+            stack = [rand_reps(efield, rng.randrange(n + rows), rng) for _ in range(6)]
+            fstack = fast.to_matrix([fast.from_reps(r) for r in stack], n + rows)
+            rstack = ref.to_matrix([ref.from_reps(r) for r in stack], n + rows)
+            got, want = fast.fold_rows(fstack, fmat), ref.fold_rows(rstack, rmat)
+            assert got.shape == (6, n, efield.k)
+            assert [fast.to_reps(r) for r in got] == want
+            for row, v in zip(got, fstack):
+                assert fast.eq(row, fast.fold(v, fmat))
+
+    def test_trim(self, efield):
+        ker = DigitKernel(efield)
+        k = efield.k
+        for m in (0, 1, 5):
+            assert ker.trim(np.zeros((m, k), dtype=np.int64)).shape == (0, k)
+        rng = random.Random(33)
+        v = ker.from_reps(rand_reps(efield, 6, rng))
+        for digit in (0, k - 1):  # the top row's only nonzero digit
+            top = np.zeros((1, k), dtype=np.int64)
+            top[0, digit] = 1
+            w = np.concatenate([v[:4], top])
+            assert ker.eq(ker.trim(untrimmed(ker, w, 3)), w)
+        assert ker.eq(ker.trim(v), v)
+
+    def test_products_at_the_int64_bound(self, monkeypatch):
+        # at the largest degree kernel_for admits, the packed convolution's and
+        # the matrix application's sums of products below p^2 fit in int64
+        p = sympy.prevprime(2**29)
+        assert pow(p - 3, (p - 1) // 2, p) == p - 1  # t^2 + t + 1 is irreducible
+        # past make_field's size limit; the modulus search would walk all of F_p
+        monkeypatch.setattr(ffield, "_smallest_modulus", lambda p, k: (1, 1, 1))
+        F = ffield.ExtensionField(p, 2)
+        bound = 2**62 // (2 * (p - 1) ** 2) - 1
+        assert isinstance(kernel_for(F, bound), DigitKernel)
+        assert isinstance(kernel_for(F, bound + 1), ObjectKernel)
+        fast, ref = both(F)
+        rng = random.Random(34)
+
+        def big(length):
+            return [(p - 1 - rng.randrange(3), p - 1 - rng.randrange(3)) for _ in range(length)]
+
+        for la in range(1, bound + 2):
+            for lb in range(1, bound + 2):
+                a, b = big(la), big(lb)
+                got = fast.mul(fast.from_reps(a), fast.from_reps(b))
+                assert same(fast, ref, got, ref.mul(ref.from_reps(a), ref.from_reps(b)))
+        for rows in range(1, bound + 2):
+            reps = [big(3) for _ in range(rows)]
+            fmat = fast.to_matrix([fast.from_reps(r) for r in reps], 3)
+            rmat = ref.to_matrix([ref.from_reps(r) for r in reps], 3)
+            v = big(rows)
+            want = ref.apply_matrix(rmat, ref.from_reps(v))
+            assert same(fast, ref, fast.apply_matrix(fmat, fast.from_reps(v)), want)
+
+    def test_one_copy_of_the_tables_per_field(self, monkeypatch):
+        built = []
+        real = _kernels._t_powers
+        monkeypatch.setattr(_kernels, "_t_powers", lambda F: built.append(F) or real(F))
+        F = make_field(7, 3)
+        ker, ker2 = kernel_for(F, 10), kernel_for(F, 20)
+        assert ker2 is not ker
+        assert ker2._tpow is ker._tpow and ker2._tpair is ker._tpair
+        assert built == [F]
+        t = [tuple(int(u == j) for j in range(3)) for u in range(3)]
+        power = F.one_rep
+        for s in range(5):  # row s of the first table is t^s
+            assert tuple(ker._tpow[s].tolist()) == power
+            power = F.rmul(power, t[1])
+        for u, x in itertools.product(range(3), repeat=2):
+            assert tuple(ker._tpair[3 * u + x].tolist()) == F.rmul(t[u], F.rpow(t[1], x))

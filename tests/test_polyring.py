@@ -107,6 +107,19 @@ class TestPolyBasics:
         assert (x + 1) ** 0 == Poly.one(F13)
         assert (x + 1) ** 3 == x**3 + 3 * x**2 + 3 * x + 1
 
+    @pytest.mark.parametrize("m, products", [(1, 0), (2, 1), (5, 3)])
+    def test_pow_products(self, monkeypatch, m, products):
+        # bitlen(m) - 1 squarings and popcount(m) - 1 other products, none with one
+        f = Poly(F13, [3, 1, 4])
+        want = Poly.one(F13)
+        for _ in range(m):
+            want = want * f
+        calls = []
+        real = _kernels.ModPKernel.mul
+        monkeypatch.setattr(_kernels.ModPKernel, "mul", lambda *a: calls.append(1) or real(*a))
+        assert f**m == want
+        assert len(calls) == products
+
     def test_derivative(self):
         x = Poly.x(F13)
         f = x**13 + 2 * x**3 + 5
