@@ -1,24 +1,27 @@
 """Closed-form factorization of g_s(y) = y^n + (1-y)^n - s over F_q, n = (q+1)/2.
 
-The parameter s falls into one of six cases, decided by s itself and the
-quadratic characters of 1 - s^2 and (1+s)/2.  Three special values (s = 1,
--1, 0) have fully explicit factorizations into linear and quadratic pieces.
-Two generic character patterns also stay in degree at most two.  The last
-case produces factors of a common degree e >= 3: every irreducible factor is
-the shape polynomial of the recurrence with parameter c = 1 - s^2, shifted
-by a constant.  With T_E the Chebyshev polynomial, g_s(y) = T_E(1 - 2y) - s
-and the shape is (-1)^e 2^(1-2e) (T_e(1 - 2y) - 1) (Lidl, Mullen and
-Turnwald, Dickson Polynomials, 1993).
+With T_E the Chebyshev polynomial, g_s(y) = T_E(1 - 2y) - s up to a unit, so
+its roots are y = (1 - (w + 1/w)/2)/2 over the solutions of w^E = beta, where
+beta = s + i*sqrt(1 - s^2) (Lidl, Mullen and Turnwald, Dickson Polynomials,
+1993).  The parameter s falls into one of six cases, decided by s itself and
+the quadratic characters of 1 - s^2 and (1+s)/2; the case fixes the factor
+degree e, the period of the recurrence with parameter 1 - s^2 in the degree-e
+case and 1 otherwise.  One rule then covers every case: the factors are
+shape_e - m, shape_e = (-1)^e 2^(1-2e) (T_e(1 - 2y) - 1), over the offsets m
+taken from the E/e roots of w^{E/e} = beta in F_{q^2}, and at e = 1 the
+quadratics of the conjugate pairs of offsets outside F_q.
 
-Every route ends with a reconstruction check: the product of the claimed
-factors, times the leading unit, must equal g_s coefficient for coefficient.
-A mismatch raises InvariantError rather than returning a wrong answer.
+Every factorization ends with a reconstruction check: the product of the
+claimed factors, times the leading unit, must equal g_s coefficient for
+coefficient.  A mismatch raises InvariantError rather than returning a wrong
+answer.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,7 +29,7 @@ from ._kernels import kernel_for
 from .dickson import DicksonCtx, build_g
 from .errors import DomainError, InvariantError
 from .ffield import FieldElement, elements, mult_order, quad_char, sqrt
-from .polyring import DEFAULT_SEED, Factorization, Poly, decompose_by, factorize, roots_in_field
+from .polyring import DEFAULT_SEED, Factorization, Poly, factorize
 
 
 class CaseKind(enum.Enum):
@@ -105,6 +108,11 @@ def classify(ctx: DicksonCtx, s) -> CaseTag:
     return _classify(ctx, s)[1]
 
 
+def _unit(field, e: int) -> FieldElement:
+    """U = (-1)^e 2^(1-2e), the scale that makes the degree-e shape monic."""
+    return (field.one / 2) ** (2 * e - 1) * (-1) ** e
+
+
 def factor_shape_poly(profile) -> Poly:
     """The monic degree-e polynomial vanishing (with the right multiplicities)
     exactly on the first period of the recurrence: y, or y^2 - y for even e,
@@ -121,22 +129,65 @@ def factor_shape_poly(profile) -> Poly:
     for bit in bin(e)[2:]:
         mid = step(lo, hi, x)
         lo, hi = (mid, step(hi, hi, one)) if bit == "1" else (step(lo, lo, one), mid)
-    unit = (field.one / 2) ** (2 * e - 1) * (-1) ** e
-    return Poly(field, ker.to_reps(ker.scale(ker.sub(lo, one), unit.rep)))
+    return Poly(field, ker.to_reps(ker.scale(ker.sub(lo, one), _unit(field, e).rep)))
 
 
-def _shape_preimages(ctx: DicksonCtx, s: FieldElement, profile, g: Poly) -> tuple:
-    """The shape of s's profile and the E/e simple offsets m with shape - m | g = g_s."""
-    shape = factor_shape_poly(profile)
-    h = decompose_by(g.monic(), shape)
-    if h is None:
-        raise _failure(ctx, s, "shape", "the family polynomial is not composed of the shape")
-    rs = roots_in_field(h)
-    if len(rs) != h.degree or len(set(r.rep for r in rs)) != len(rs):
-        raise _failure(ctx, s, "offsets", "shape offsets are not simple field roots")
-    if len(rs) != ctx.E // profile.e:
-        raise _failure(ctx, s, "offsets", "wrong number of shape offsets")
-    return shape, tuple(sorted(rs, key=lambda r: r.key()))
+def _beta(ctx: DicksonCtx, s: FieldElement) -> FieldElement:
+    """s + i*sqrt(1 - s^2) in the quadratic extension, so (beta + 1/beta)/2 = s."""
+    ext = ctx.field.ext
+    return ext.embed(s) + ext.i * sqrt(ext.embed(1 - s * s))
+
+
+def _log(ext, h) -> int:
+    """The discrete log of the rep h to ``ext.generator_rep``: Pohlig-Hellman
+    (IEEE Trans. Inf. Theory 24, 1978) over the prime powers m of q^2 - 1,
+    with baby-step/giant-step in each subgroup of order m."""
+    x, mod, mul = 0, 1, ext.rmul
+    for ell in ext._order_primes:
+        m = ell
+        while (ext.q - 1) % (m * ell) == 0:
+            m *= ell
+        g, t = (ext.rpow(r, (ext.q - 1) // m) for r in (ext.generator_rep, h))
+        width, baby, cur = math.isqrt(m - 1) + 1, {}, ext.one_rep
+        for j in range(width):
+            baby[cur] = j
+            cur = mul(cur, g)
+        giant = ext.rinv(cur)
+        for i in range(width):
+            if t in baby:
+                break
+            t = mul(t, giant)
+        x += mod * ((i * width + baby[t] - x) * pow(mod, -1, m) % m)
+        mod *= m
+    return x
+
+
+def _offsets(ctx: DicksonCtx, s: FieldElement, e: int) -> list:
+    """The offsets m_j = U((w_j + 1/w_j)/2 - 1), each counted once per root,
+    over the N = E/e roots w_j = w0 zeta^j of w^N = beta, zeta = g^((q^2-1)/N).
+    They follow m_{j+1} = c m_j - m_{j-1} + U(c - 2), c = zeta + 1/zeta: on
+    F_q reps, returned in canonical order, when c, m_{-1} and m_0 lie in F_q,
+    and otherwise, only at e = 1, on F_{q^2} reps."""
+    field, ext, zero = ctx.field, ctx.field.ext, ctx.field.zero_rep
+    n, g, beta = ctx.E // e, ext.generator_rep, _beta(ctx, s)
+    w0 = FieldElement(ext, ext.rpow(g, _log(ext, beta.rep) // n))
+    if w0**n != beta:
+        raise _failure(ctx, s, "offsets", f"g^(log(beta)/{n}) is not a root of w^{n} = beta")
+    zeta, unit = FieldElement(ext, ext.rpow(g, (ext.q - 1) // n)), ext.embed(_unit(field, e))
+    offset = lambda w: unit * ((w + 1 / w) / 2 - 1)
+    c = zeta + 1 / zeta
+    start = [c, unit * (c - 2), offset(w0 / zeta), offset(w0)]
+    walk = field if all(v.rep[1] == zero for v in start) else ext
+    if walk is ext and e > 1:
+        raise _failure(ctx, s, "offsets", "an offset lies outside the field")
+    c, step, prev, cur = (v.rep[0] if walk is field else v.rep for v in start)
+    ms = []
+    for _ in range(n):
+        ms.append(cur)
+        prev, cur = cur, walk.radd(walk.rsub(walk.rmul(c, cur), prev), step)
+    if walk is field:
+        return [FieldElement(field, m) for m in sorted(ms)]
+    return [FieldElement(field, m[0]) if m[1] == zero else FieldElement(ext, m) for m in ms]
 
 
 def _failure(ctx: DicksonCtx, s: FieldElement, stage: str, what: str) -> InvariantError:
@@ -147,46 +198,24 @@ def _failure(ctx: DicksonCtx, s: FieldElement, stage: str, what: str) -> Invaria
 
 def _closed_form(ctx: DicksonCtx, s) -> tuple:
     """One closed-form pass: (s, case tag, factorization, offsets or None)."""
-    field = ctx.field
+    field, ext = ctx.field, ctx.field.ext
     s, tag, profile = _classify(ctx, s)
-    g = build_g(ctx, s)
-    ms = None
-    x = Poly.x(field)
-    one = field.one
-    half = one / 2
-
-    # the factors below are distinct by construction, so none is merged: the
-    # linear coefficients are injective in a and w (s != 0 in those cases),
-    # C excludes 0 and 1, and _shape_preimages checks the offsets are simple
-    kind = tag.kind
-    if kind is CaseKind.S_PLUS_ONE:
-        factors = [(x, 1), (x - 1, 1)] + [(x - a, 2) for a in ctx.C]
-    elif kind is CaseKind.S_MINUS_ONE:
-        # roots are the j with both j and 1-j nonsquare; these are exactly
-        # the images (1+w)/2 of the W parameters
-        factors = [(x - (1 + w) * half, 2) for w in ctx.W]
-    elif kind is CaseKind.S_ZERO:
-        quarter = half * half
-        factors = [(x * x - x + (1 + w) * half * quarter, 1) for w in ctx.W]
-    elif kind is CaseKind.SPLIT_LINEAR_QUADRATIC:
-        factors = [(x - (1 + s) * half, 1), (x - (1 - s) * half, 1)]
-        for a in ctx.C:
-            b = 2 * a - 1 - s
-            factors.append((x * x + (2 * a * s - 1 - s) * x + b * b / 4, 1))
-    elif kind is CaseKind.ALL_QUADRATIC:
-        factors = []
-        for w in ctx.W:
-            t = s + w
-            factors.append((x * x - (1 + s * w) * x + t * t / 4, 1))
-    else:
-        shape, ms = _shape_preimages(ctx, s, profile, g)
-        factors = [(shape - m, 1) for m in ms]
-
-    lead = ctx.tau * ctx.tau / 2
-    result = Factorization(lead, factors)
-    if result.expand() != g:
+    ms = _offsets(ctx, s, tag.e or 1)
+    shape = Poly.x(field) if profile is None else factor_shape_poly(profile)
+    counts = Counter(ms)
+    factors = []
+    for m, k in counts.items():
+        if m.ctx is field:
+            factors.append((shape - m, k))
+        elif counts[ext.conj(m)] != k:
+            raise _failure(ctx, s, "offsets", "an offset and its conjugate differ in count")
+        elif m.rep < ext.conj(m).rep:  # y^2 - (m + m')y + m m' once per pair
+            re, norm = (FieldElement(field, r) for r in (m.rep[0], ext.rnorm(m.rep)))
+            factors.append((Poly(field, [norm, -2 * re, 1]), k))
+    result = Factorization(ctx.tau * ctx.tau / 2, factors)
+    if result.expand() != build_g(ctx, s):
         raise _failure(ctx, s, "reconstruct", "the closed form failed reconstruction")
-    return s, tag, result, ms
+    return s, tag, result, None if profile is None else tuple(ms)
 
 
 def factor_closed_form(ctx: DicksonCtx, s) -> Factorization:
@@ -197,10 +226,10 @@ def factor_closed_form(ctx: DicksonCtx, s) -> Factorization:
 def constant_terms(ctx: DicksonCtx, s):
     """For a degree-e parameter, the pair (e, offsets): the irreducible
     factors of g_s are exactly shape - m over the returned offsets m."""
-    s, tag, profile = _classify(ctx, s)
+    s, tag, _ = _classify(ctx, s)
     if tag.kind is not CaseKind.DEGREE_E:
         raise DomainError("constant terms are defined only in the degree-e case")
-    return profile.e, _shape_preimages(ctx, s, profile, build_g(ctx, s))[1]
+    return tag.e, tuple(_offsets(ctx, s, tag.e))
 
 
 def is_irreducible_gs(ctx: DicksonCtx, s) -> bool:
@@ -223,18 +252,9 @@ def half_sum_s_values(ctx: DicksonCtx) -> tuple:
     For q >= 7 this is an independent route to the same set as
     irreducible_s_values; the two are compared in the test suite.
     """
-    field = ctx.field
-    ext = field.ext
-    group = ext.q - 1
-    gamma = None
-    for x in elements(ext):
-        if x and mult_order(x) == group:
-            gamma = x
-            break
-    if gamma is None:
-        raise InvariantError("no generator found for the extension group")
+    ext = ctx.field.ext
     two_e = 2 * ctx.E
-    b0 = gamma ** (group // two_e)
+    b0 = FieldElement(ext, ext.rpow(ext.generator_rep, (ext.q - 1) // two_e))
     half = ext.one / 2
     vals = set()
     for j in range(1, two_e):
@@ -255,10 +275,8 @@ def sign_class(ctx: DicksonCtx, s, d: int) -> SignClass:
     if d < 1:
         raise DomainError("the class index d must be positive")
     field = ctx.field
-    ext = field.ext
     s = field.elem(s)
-    rc = sqrt(ext.embed(1 - s * s))
-    beta = ext.embed(s) + ext.i * rc
+    beta = _beta(ctx, s)
     in_plus = mult_order(beta) == 2 * d
     in_minus = mult_order(-beta) == 2 * d
     if d % 2 == 0 and in_plus != in_minus:
@@ -290,11 +308,10 @@ def norm_residuacity(ctx: DicksonCtx, d: int) -> list:
     field = ctx.field
     out = []
     for s in elements(field):
-        s, tag, profile = _classify(ctx, s)
+        s, tag, _ = _classify(ctx, s)
         if tag.e != d:
             continue
-        ms = _shape_preimages(ctx, s, profile, build_g(ctx, s))[1]
-        nc = _norm_class(ctx, s, d, ms)
+        nc = _norm_class(ctx, s, d, tuple(_offsets(ctx, s, d)))
         if nc.membership is SignClass.NEITHER:
             raise InvariantError(
                 f"degree-d parameter outside both sign classes (q={field.q}, s={s})"
@@ -347,12 +364,12 @@ TABLE_DEGREES = (3, 4, 5, 6, 8, 10, 12)
 _F = Fraction
 
 
-def _surd_pair(radicand):
+def _surd_pair(radicand, a, b):
+    """The builder of [(a + r)/b, (a - r)/b] for r = sqrt(radicand), or None."""
+
     def build(field):
         r = sqrt(field.elem(radicand))
-        if r is None:
-            return None
-        return [r, -r]
+        return None if r is None else [(a + x) / b for x in (r, -r)]
 
     return build
 
@@ -362,9 +379,7 @@ _SHAPE_TABLE = {
     4: (8, lambda f: [f.elem(_F(1, 2))], [0, _F(-1, 4), _F(5, 4), -2, 1]),
     5: (
         20,
-        lambda f: None
-        if (r := _surd_pair(5)(f)) is None
-        else [(5 + x) / 8 for x in r],
+        _surd_pair(5, 5, 8),
         [0, _F(25, 256), _F(-25, 32), _F(35, 16), _F(-5, 2), 1],
     ),
     6: (
@@ -374,60 +389,20 @@ _SHAPE_TABLE = {
     ),
     8: (
         16,
-        lambda f: None
-        if (r := _surd_pair(2)(f)) is None
-        else [(2 + x) / 4 for x in r],
-        [
-            0,
-            _F(-1, 256),
-            _F(21, 256),
-            _F(-21, 32),
-            _F(165, 64),
-            _F(-11, 2),
-            _F(13, 2),
-            -4,
-            1,
-        ],
+        _surd_pair(2, 2, 4),
+        [0, _F(-1, 256), _F(21, 256), _F(-21, 32), _F(165, 64), _F(-11, 2), _F(13, 2), -4, 1],
     ),
     10: (
         20,
-        lambda f: None
-        if (r := _surd_pair(5)(f)) is None
-        else [(3 + x) / 8 for x in r],
-        [
-            0,
-            _F(-25, 65536),
-            _F(825, 65536),
-            _F(-165, 1024),
-            _F(2145, 2048),
-            _F(-1001, 256),
-            _F(2275, 256),
-            _F(-25, 2),
-            _F(85, 8),
-            -5,
-            1,
-        ],
+        _surd_pair(5, 3, 8),
+        [0, _F(-25, 65536), _F(825, 65536), _F(-165, 1024), _F(2145, 2048), _F(-1001, 256),
+         _F(2275, 256), _F(-25, 2), _F(85, 8), -5, 1],
     ),
     12: (
         24,
-        lambda f: None
-        if (r := _surd_pair(3)(f)) is None
-        else [(2 + x) / 4 for x in r],
-        [
-            0,
-            _F(-9, 262144),
-            _F(429, 262144),
-            _F(-1001, 32768),
-            _F(19305, 65536),
-            _F(-429, 256),
-            _F(1547, 256),
-            _F(-459, 32),
-            _F(2907, 128),
-            _F(-95, 4),
-            _F(63, 4),
-            -6,
-            1,
-        ],
+        _surd_pair(3, 2, 4),
+        [0, _F(-9, 262144), _F(429, 262144), _F(-1001, 32768), _F(19305, 65536), _F(-429, 256),
+         _F(1547, 256), _F(-459, 32), _F(2907, 128), _F(-95, 4), _F(63, 4), -6, 1],
     ),
 }
 

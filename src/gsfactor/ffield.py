@@ -548,6 +548,15 @@ class QuadraticExtension(FieldCtx):
             i += 1
         return cand
 
+    @functools.cached_property
+    def generator_rep(self):
+        """First a + t, a in canonical base order, of order q - 1.  The elements
+        a*t, which come first in canonical order, never generate; some a + t
+        always does (Cohen, J. London Math. Soc. 27, 1983)."""
+        br = self.base
+        cands = ((br.rep_at(i), br.one_rep) for i in range(br.q))
+        return next(a for a in cands if self.mult_order_rep(a) == self.q - 1)
+
     def rep_at(self, i: int):
         hi, lo = divmod(i, self.base.q)
         return (self.base.rep_at(hi), self.base.rep_at(lo))

@@ -105,7 +105,7 @@ class TestFactor:
         ctx = build_ctx(make_field_q(13))
         kinds = [classify(ctx, s).kind for s in elements(ctx.field)]
         degree_e = kinds.count(CaseKind.DEGREE_E)
-        calls = {"build_profile": 0, "decompose_by": 0}
+        calls = {"build_profile": 0, "_offsets": 0}
 
         def counted(module, name):
             real = getattr(module, name)
@@ -117,12 +117,12 @@ class TestFactor:
             monkeypatch.setattr(module, name, wrapper)
 
         counted(recurrence, "build_profile")
-        counted(factorizer, "decompose_by")
+        counted(factorizer, "_offsets")
         assert run_cli(capsys, "factor", "q=13", "s=6")[0] == 0
-        assert calls == {"build_profile": 1, "decompose_by": 1}
-        calls.update(build_profile=0, decompose_by=0)
+        assert calls == {"build_profile": 1, "_offsets": 1}
+        calls.update(build_profile=0, _offsets=0)
         assert run_cli(capsys, "atlas", "q=13")[0] == 0
-        assert calls == {"build_profile": degree_e, "decompose_by": degree_e}
+        assert calls == {"build_profile": degree_e, "_offsets": len(kinds)}
 
 
 class TestVerify:

@@ -10,8 +10,8 @@ from fractions import Fraction
 import pytest
 from shape_oracle import product_shape
 
-from gsfactor import factorizer, ffield, polyring
-from gsfactor._kernels import Kernel, ObjectKernel
+from gsfactor import dickson, factorizer, ffield, polyring
+from gsfactor._kernels import DigitKernel, Kernel, ModPKernel, ObjectKernel
 from gsfactor.cli import _odd_prime_powers
 from gsfactor.dickson import build_ctx, build_g
 from gsfactor.errors import DomainError, InvariantError
@@ -293,6 +293,10 @@ class TestIrreducibility:
         for q in (7, 13, 17, 19, 23, 9):
             ctx = build_ctx(make_field_q(q))
             assert len(irreducible_s_values(ctx)) == phi(2 * ctx.E) // 2
+        # the order-scan route alone above 3162, where F_{q^2} is too large
+        # to enumerate
+        ctx = build_ctx(make_field_q(3163))
+        assert len(half_sum_s_values(ctx)) == phi(2 * ctx.E) // 2
 
 
 class TestSignClass:
@@ -408,26 +412,26 @@ class TestDegreeTables:
 class TestInvariantContext:
     def test_failed_reconstruction_names_field_and_parameter(self, monkeypatch):
         monkeypatch.setattr(Factorization, "expand", lambda self: Poly.one(CTX13.field))
-        with pytest.raises(InvariantError) as err:
-            factor_closed_form(CTX13, 6)
-        assert re.search(r"\bq=13\b", str(err.value))
-        assert re.search(r"\bs=6\b", str(err.value))
-        assert "stage=reconstruct " in str(err.value)
-        assert str(err.value).endswith("replay: gsfactor factor q=13 s=6)")
+        # one s of each case kind over F_13: SPlusOne, SMinusOne, SZero,
+        # SplitLinearQuadratic, AllQuadratic, DegreeE
+        for s in (1, 12, 0, 4, 3, 6):
+            with pytest.raises(InvariantError) as err:
+                factor_closed_form(CTX13, s)
+            assert re.search(r"\bq=13\b", str(err.value))
+            assert re.search(rf"\bs={s}\b", str(err.value))
+            assert "stage=reconstruct " in str(err.value)
+            assert str(err.value).endswith(f"replay: gsfactor factor q=13 s={s})")
 
-    @pytest.mark.parametrize(
-        "name, stub",
-        [("decompose_by", lambda f, shape: None), ("roots_in_field", lambda h: [])],
-    )
-    def test_shape_preimages_name_field_and_parameter(self, monkeypatch, name, stub):
-        stage = {"decompose_by": "shape", "roots_in_field": "offsets"}[name]
-        monkeypatch.setattr(factorizer, name, stub)
-        with pytest.raises(InvariantError) as err:
-            constant_terms(CTX13, 6)
-        assert re.search(r"\bq=13\b", str(err.value))
-        assert re.search(r"\bs=6\b", str(err.value))
-        assert f"stage={stage} " in str(err.value)
-        assert str(err.value).endswith("replay: gsfactor factor q=13 s=6)")
+    def test_wrong_root_names_offsets_stage(self, monkeypatch):
+        # a log of 0 gives the root w0 = 1, and 1^N is not beta at s = 6
+        monkeypatch.setattr(factorizer, "_log", lambda ext, h: 0)
+        for entry in (factor_closed_form, constant_terms):
+            with pytest.raises(InvariantError) as err:
+                entry(CTX13, 6)
+            assert re.search(r"\bq=13\b", str(err.value))
+            assert re.search(r"\bs=6\b", str(err.value))
+            assert "stage=offsets " in str(err.value)
+            assert str(err.value).endswith("replay: gsfactor factor q=13 s=6)")
 
 
 class TestOracleEquivalence:
@@ -444,34 +448,40 @@ class TestOracleEquivalence:
 
 class TestRouteIndependence:
     def test_closed_form_never_calls_the_engine(self, monkeypatch):
-        # built before the patches: the modulus search for F_27 and F_49 runs
-        # the Rabin test
-        ctxs = [build_ctx(make_field_q(q)) for q in (13, 27, 49)]
+        # built before the patches: the modulus search for F_27, F_49 and
+        # F_125 runs the Rabin test, and the s values enumerate the field
+        ctxs = [build_ctx(make_field_q(q)) for q in (13, 27, 49, 125)]
+        cases = [(ctx, list(elements(ctx.field))) for ctx in ctxs]
 
         def engine(*args, **kwargs):
             raise AssertionError("the closed form called the generic engine")
 
-        # the closed form shares the kernels' arithmetic and the d = 1 root
-        # finder; every other entry point of the engine raises
+        # the closed form shares only the kernels' arithmetic with the engine
         for owner, name in [
             (factorizer, "factorize"),
             (polyring, "factorize"),
+            (polyring, "decompose_by"),
+            (polyring, "roots_in_field"),
             (Kernel, "factor_monic"),
             (Kernel, "squarefree_parts"),
             (Kernel, "distinct_degree_parts"),
+            (Kernel, "equal_degree_split"),
+            (Kernel, "distinct_roots"),
             (Kernel, "is_irreducible"),
+            (Kernel, "powmod"),
+            (Kernel, "gcd"),
+            (ModPKernel, "gcd"),
+            (DigitKernel, "gcd"),
+            (ffield, "elements"),
+            (factorizer, "elements"),
+            (dickson, "elements"),
         ]:
             monkeypatch.setattr(owner, name, engine)
-        split = Kernel.equal_degree_split
-
-        def roots_only(self, f, d, rng, red=None):
-            if d > 1:
-                engine()
-            return split(self, f, d, rng, red)
-
-        monkeypatch.setattr(Kernel, "equal_degree_split", roots_only)
-        for ctx in ctxs:
-            for s in elements(ctx.field):
+        # and under the names an import into the factorizer would bind
+        for name in ("decompose_by", "roots_in_field"):
+            monkeypatch.setattr(factorizer, name, engine, raising=False)
+        for ctx, values in cases:
+            for s in values:
                 tag = classify(ctx, s)
                 factor_closed_form(ctx, s)  # checks its own reconstruction
                 if tag.kind is CaseKind.DEGREE_E:
