@@ -422,8 +422,17 @@ class TestInvariantContext:
             assert "stage=reconstruct " in str(err.value)
             assert str(err.value).endswith(f"replay: gsfactor factor q=13 s={s})")
 
-    def test_wrong_root_names_offsets_stage(self, monkeypatch):
-        # a log of 0 gives the root w0 = 1, and 1^N is not beta at s = 6
+    @pytest.mark.parametrize(
+        "name, stub",
+        [("decompose_by", lambda f, shape: None), ("roots_in_field", lambda h: [])],
+    )
+    def test_shape_preimages_name_field_and_parameter(self, monkeypatch, name, stub):
+        # the offsets (the shape preimages) come from a root of w^N = beta,
+        # not from the engine helpers an earlier route called: with those
+        # broken, a wrong root is still caught and named by the closed form.
+        # A log of 0 gives the root w0 = 1, and 1^N is not beta at s = 6.
+        monkeypatch.setattr(polyring, name, stub)
+        monkeypatch.setattr(factorizer, name, stub, raising=False)
         monkeypatch.setattr(factorizer, "_log", lambda ext, h: 0)
         for entry in (factor_closed_form, constant_terms):
             with pytest.raises(InvariantError) as err:
