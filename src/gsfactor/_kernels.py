@@ -476,18 +476,6 @@ class Kernel:
                     return False
         return self.eq(h, x)
 
-    def distinct_roots(self, f, rng):
-        """Monic f -> representatives of its distinct roots in the field."""
-        red = self.reducer(f)
-        xq = self.powmod(self.xvec(), self.ctx.q, red)
-        lin = self.gcd(f, self.sub(xq, self.xvec()))
-        if self.deg(lin) < 1:
-            return []
-        roots = []
-        for piece in self.equal_degree_split(lin, 1, rng):
-            roots.append(self.ctx.rneg(self.to_reps(piece)[0]))
-        return roots
-
     def rand_vec(self, rng, ncoeffs: int):
         reps = [self.ctx.rep_at(rng.randrange(self.ctx.q)) for _ in range(ncoeffs)]
         return self.from_reps(reps)

@@ -32,8 +32,8 @@ from .errors import DomainError, InvariantError
 from .factorizer import (
     TABLE_DEGREES,
     _closed_form,
+    _constant_terms,
     _norm_class,
-    constant_terms,
     cubic_norm_complement,
     degree_table_check,
     irreducible_s_values,
@@ -114,7 +114,7 @@ def _odd_prime_powers(limit: int):
 def _case_report(ctx: DicksonCtx, s, with_json: bool = True) -> tuple:
     """(JSON record, Factorization, constant terms or None) for one s; the
     record's factorization is None unless ``with_json``."""
-    s, tag, fac, ms = _closed_form(ctx, s)
+    s, tag, log, fac, ms = _closed_form(ctx, s)
     rec = {
         "s": elem_json(s),
         "case": tag.kind.value,
@@ -125,7 +125,7 @@ def _case_report(ctx: DicksonCtx, s, with_json: bool = True) -> tuple:
         "factorization": fac.to_json() if with_json else None,
     }
     if ms is not None:
-        nc = _norm_class(ctx, s, tag.e, ms)
+        nc = _norm_class(ctx, s, tag.e, ms, log)
         rec["constant_terms"] = [elem_json(m) for m in ms]
         rec["residue"] = nc.residue
         rec["b_set"] = nc.membership.value
@@ -247,9 +247,8 @@ def _cmd_residuacity(args, out) -> int:
         raise DomainError("residuacity needs a field and a value of s")
     field = _parse_field_spec(field_spec)
     ctx = build_ctx(field)
-    s = _parse_elem(field, s_literal)
-    e, ms = constant_terms(ctx, s)
-    nc = _norm_class(ctx, s, e, ms)
+    s, e, ms, log = _constant_terms(ctx, _parse_elem(field, s_literal))
+    nc = _norm_class(ctx, s, e, ms, log)
     residues = [quad_char(m) for m in ms]
     if args.format == "json":
         _emit(

@@ -5,11 +5,11 @@ its roots are y = (1 - (w + 1/w)/2)/2 over the solutions of w^E = beta, where
 beta = s + i*sqrt(1 - s^2) (Lidl, Mullen and Turnwald, Dickson Polynomials,
 1993).  The parameter s falls into one of six cases, decided by s itself and
 the quadratic characters of 1 - s^2 and (1+s)/2; the case fixes the factor
-degree e, the period of the recurrence with parameter 1 - s^2 in the degree-e
-case and 1 otherwise.  One rule then covers every case: the factors are
-shape_e - m, shape_e = (-1)^e 2^(1-2e) (T_e(1 - 2y) - 1), over the offsets m
-taken from the E/e roots of w^{E/e} = beta in F_{q^2}, and at e = 1 the
-quadratics of the conjugate pairs of offsets outside F_q.
+degree e, 1 outside the degree-e case and in it half the order of +-beta,
+read from one discrete log of beta.  One rule then covers every case: the
+factors are shape_e - m, shape_e = (-1)^e 2^(1-2e) (T_e(1 - 2y) - 1), over
+the offsets m taken from the E/e roots of w^{E/e} = beta in F_{q^2}, and at
+e = 1 the quadratics of the conjugate pairs of offsets outside F_q.
 
 Every factorization ends with a reconstruction check: the product of the
 claimed factors, times the leading unit, must equal g_s coefficient for
@@ -28,7 +28,7 @@ from fractions import Fraction
 from ._kernels import kernel_for
 from .dickson import DicksonCtx, build_g
 from .errors import DomainError, InvariantError
-from .ffield import FieldElement, elements, mult_order, quad_char, sqrt
+from .ffield import FieldElement, elements, quad_char, sqrt
 from .polyring import DEFAULT_SEED, Factorization, Poly, factorize
 
 
@@ -81,26 +81,32 @@ class NormClass:
     residue: int | None  # shared character of the norms, None if mixed
 
 
+def _order(ext, log: int) -> int:
+    """The order of generator_rep^log in F_{q^2}^*: (q^2 - 1)/gcd(log, q^2 - 1)."""
+    return (ext.q - 1) // math.gcd(log, ext.q - 1)
+
+
 def _classify(ctx: DicksonCtx, s):
+    """(s, case tag, log of beta): in the degree-e case, e is ord(beta)/2, or
+    ord(beta) when that is odd (then -beta has order 2e), the period of the
+    recurrence with parameter 1 - s^2."""
     field = ctx.field
     s = field.elem(s)
+    log = field.ext.log_rep(_beta(ctx, s).rep)
     if s == field.one:
-        return s, CaseTag(CaseKind.S_PLUS_ONE), None
+        return s, CaseTag(CaseKind.S_PLUS_ONE), log
     if s == -field.one:
-        return s, CaseTag(CaseKind.S_MINUS_ONE), None
+        return s, CaseTag(CaseKind.S_MINUS_ONE), log
     if not s:
-        return s, CaseTag(CaseKind.S_ZERO), None
+        return s, CaseTag(CaseKind.S_ZERO), log
     chi_c = quad_char(1 - s * s)
     chi_half = quad_char((1 + s) / 2)
     if chi_c == 1:
-        from .recurrence import build_profile
-
-        profile = build_profile(field, 1 - s * s)
-        return s, CaseTag(CaseKind.DEGREE_E, chi_c, chi_half, profile.e), profile
-    kind = (
-        CaseKind.SPLIT_LINEAR_QUADRATIC if chi_half == 1 else CaseKind.ALL_QUADRATIC
-    )
-    return s, CaseTag(kind, chi_c, chi_half), None
+        order = _order(field.ext, log)
+        e = order if order % 2 else order // 2
+        return s, CaseTag(CaseKind.DEGREE_E, chi_c, chi_half, e), log
+    kind = CaseKind.SPLIT_LINEAR_QUADRATIC if chi_half == 1 else CaseKind.ALL_QUADRATIC
+    return s, CaseTag(kind, chi_c, chi_half), log
 
 
 def classify(ctx: DicksonCtx, s) -> CaseTag:
@@ -113,15 +119,14 @@ def _unit(field, e: int) -> FieldElement:
     return (field.one / 2) ** (2 * e - 1) * (-1) ** e
 
 
-def factor_shape_poly(profile) -> Poly:
+def factor_shape_poly(field, e: int) -> Poly:
     """The monic degree-e polynomial vanishing (with the right multiplicities)
-    exactly on the first period of the recurrence: y, or y^2 - y for even e,
-    times prod (y - c_k)^2 over 0 < k < e/2.  It equals
+    exactly on the first period of the recurrence of period e: y, or y^2 - y
+    for even e, times prod (y - c_k)^2 over 0 < k < e/2.  It equals
     (-1)^e 2^(1-2e) (T_e(1 - 2y) - 1), so it depends on e alone; T_e comes
     from T_{a+b} = 2 T_a T_b - T_{a-b} on the pair (T_k, T_{k+1}) over the
     bits of e, in 2 bitlen(e) kernel products.
     """
-    field, e = profile.ctx, profile.e
     ker, two = kernel_for(field, e + 1), field.rep_of(2)
     step = lambda a, b, c: ker.sub(ker.scale(ker.mul(a, b), two), c)
     one, x = ker.one(), ker.from_reps([field.one_rep, field.rep_of(-2)])
@@ -138,41 +143,19 @@ def _beta(ctx: DicksonCtx, s: FieldElement) -> FieldElement:
     return ext.embed(s) + ext.i * sqrt(ext.embed(1 - s * s))
 
 
-def _log(ext, h) -> int:
-    """The discrete log of the rep h to ``ext.generator_rep``: Pohlig-Hellman
-    (IEEE Trans. Inf. Theory 24, 1978) over the prime powers m of q^2 - 1,
-    with baby-step/giant-step in each subgroup of order m."""
-    x, mod, mul = 0, 1, ext.rmul
-    for ell in ext._order_primes:
-        m = ell
-        while (ext.q - 1) % (m * ell) == 0:
-            m *= ell
-        g, t = (ext.rpow(r, (ext.q - 1) // m) for r in (ext.generator_rep, h))
-        width, baby, cur = math.isqrt(m - 1) + 1, {}, ext.one_rep
-        for j in range(width):
-            baby[cur] = j
-            cur = mul(cur, g)
-        giant = ext.rinv(cur)
-        for i in range(width):
-            if t in baby:
-                break
-            t = mul(t, giant)
-        x += mod * ((i * width + baby[t] - x) * pow(mod, -1, m) % m)
-        mod *= m
-    return x
-
-
-def _offsets(ctx: DicksonCtx, s: FieldElement, e: int) -> list:
+def _offsets(ctx: DicksonCtx, s: FieldElement, e: int, log: int) -> list:
     """The offsets m_j = U((w_j + 1/w_j)/2 - 1), each counted once per root,
-    over the N = E/e roots w_j = w0 zeta^j of w^N = beta, zeta = g^((q^2-1)/N).
-    They follow m_{j+1} = c m_j - m_{j-1} + U(c - 2), c = zeta + 1/zeta: on
-    F_q reps, returned in canonical order, when c, m_{-1} and m_0 lie in F_q,
-    and otherwise, only at e = 1, on F_{q^2} reps."""
+    over the N = E/e roots w_j = w0 zeta^j of w^N = beta = g^log, w0 = g^(log/N),
+    zeta = g^((q^2-1)/N).  The roots of w^N = 1/beta give the same offsets, so
+    w0 is checked against s itself.  The offsets follow
+    m_{j+1} = c m_j - m_{j-1} + U(c - 2), c = zeta + 1/zeta: on F_q reps,
+    returned in canonical order, when c, m_{-1} and m_0 lie in F_q, and
+    otherwise, only at e = 1, on F_{q^2} reps."""
     field, ext, zero = ctx.field, ctx.field.ext, ctx.field.zero_rep
-    n, g, beta = ctx.E // e, ext.generator_rep, _beta(ctx, s)
-    w0 = FieldElement(ext, ext.rpow(g, _log(ext, beta.rep) // n))
-    if w0**n != beta:
-        raise _failure(ctx, s, "offsets", f"g^(log(beta)/{n}) is not a root of w^{n} = beta")
+    n, g = ctx.E // e, ext.generator_rep
+    w0 = FieldElement(ext, ext.rpow(g, log // n))
+    if (w0**n + w0**-n) / 2 != ext.embed(s):
+        raise _failure(ctx, s, "offsets", f"w0 = g^(log(beta)/{n}) has (w0^{n} + w0^-{n})/2 != s")
     zeta, unit = FieldElement(ext, ext.rpow(g, (ext.q - 1) // n)), ext.embed(_unit(field, e))
     offset = lambda w: unit * ((w + 1 / w) / 2 - 1)
     c = zeta + 1 / zeta
@@ -197,11 +180,12 @@ def _failure(ctx: DicksonCtx, s: FieldElement, stage: str, what: str) -> Invaria
 
 
 def _closed_form(ctx: DicksonCtx, s) -> tuple:
-    """One closed-form pass: (s, case tag, factorization, offsets or None)."""
+    """One closed-form pass: (s, case tag, log of beta, factorization, offsets
+    in the degree-e case or None)."""
     field, ext = ctx.field, ctx.field.ext
-    s, tag, profile = _classify(ctx, s)
-    ms = _offsets(ctx, s, tag.e or 1)
-    shape = Poly.x(field) if profile is None else factor_shape_poly(profile)
+    s, tag, log = _classify(ctx, s)
+    ms = _offsets(ctx, s, tag.e or 1, log)
+    shape = factor_shape_poly(field, tag.e or 1)
     counts = Counter(ms)
     factors = []
     for m, k in counts.items():
@@ -215,34 +199,42 @@ def _closed_form(ctx: DicksonCtx, s) -> tuple:
     result = Factorization(ctx.tau * ctx.tau / 2, factors)
     if result.expand() != build_g(ctx, s):
         raise _failure(ctx, s, "reconstruct", "the closed form failed reconstruction")
-    return s, tag, result, None if profile is None else tuple(ms)
+    return s, tag, log, result, tuple(ms) if tag.kind is CaseKind.DEGREE_E else None
 
 
 def factor_closed_form(ctx: DicksonCtx, s) -> Factorization:
     """Factor g_s into irreducibles without any polynomial factorization."""
-    return _closed_form(ctx, s)[2]
+    return _closed_form(ctx, s)[3]
+
+
+def _constant_terms(ctx: DicksonCtx, s) -> tuple:
+    """(s, e, offsets, log of beta) for a degree-e parameter."""
+    s, tag, log = _classify(ctx, s)
+    if tag.kind is not CaseKind.DEGREE_E:
+        raise DomainError("constant terms are defined only in the degree-e case")
+    return s, tag.e, tuple(_offsets(ctx, s, tag.e, log)), log
 
 
 def constant_terms(ctx: DicksonCtx, s):
     """For a degree-e parameter, the pair (e, offsets): the irreducible
     factors of g_s are exactly shape - m over the returned offsets m."""
-    s, tag, _ = _classify(ctx, s)
-    if tag.kind is not CaseKind.DEGREE_E:
-        raise DomainError("constant terms are defined only in the degree-e case")
-    return tag.e, tuple(_offsets(ctx, s, tag.e))
+    return _constant_terms(ctx, s)[1:3]
 
 
 def is_irreducible_gs(ctx: DicksonCtx, s) -> bool:
-    """True when g_s is classified as a single irreducible of degree E."""
-    tag = classify(ctx, s)
-    return tag.kind is CaseKind.DEGREE_E and tag.e == ctx.E
+    """The paper's criterion: g_s is irreducible exactly when c = 1 - s^2 is a
+    nonzero square other than 1 and the recurrence with parameter c has
+    period E."""
+    from .recurrence import build_profile
+
+    s = ctx.field.elem(s)
+    c = 1 - s * s
+    return c != ctx.field.one and quad_char(c) == 1 and build_profile(ctx.field, c).e == ctx.E
 
 
 def irreducible_s_values(ctx: DicksonCtx) -> tuple:
-    """All s with g_s irreducible, by classification, in canonical order."""
-    return tuple(
-        s for s in elements(ctx.field) if is_irreducible_gs(ctx, s)
-    )
+    """All s with g_s irreducible, by the recurrence's period, in canonical order."""
+    return tuple(s for s in elements(ctx.field) if is_irreducible_gs(ctx, s))
 
 
 def half_sum_s_values(ctx: DicksonCtx) -> tuple:
@@ -268,21 +260,25 @@ def sign_class(ctx: DicksonCtx, s, d: int) -> SignClass:
     """Membership of s in the order-2d half-sum class or its negation.
 
     s is in the plus class when some B of order exactly 2d has (B + 1/B)/2
-    equal to s, and in the minus class when such a B exists for -s.  The two
-    candidates for B are s +/- i*sqrt(1 - s^2) in the quadratic extension,
-    so two order computations decide everything.
+    equal to s, and in the minus class when such a B exists for -s.  The
+    candidates for B are beta = s + i*sqrt(1 - s^2), its inverse and their
+    negations, so one discrete log of beta decides everything.
     """
     if d < 1:
         raise DomainError("the class index d must be positive")
-    field = ctx.field
-    s = field.elem(s)
-    beta = _beta(ctx, s)
-    in_plus = mult_order(beta) == 2 * d
-    in_minus = mult_order(-beta) == 2 * d
+    s = ctx.field.elem(s)
+    return _sign_class(ctx, s, d, ctx.field.ext.log_rep(_beta(ctx, s).rep))
+
+
+def _sign_class(ctx: DicksonCtx, s: FieldElement, d: int, log: int) -> SignClass:
+    """sign_class from log(beta); -beta = g^(log + (q^2 - 1)/2)."""
+    ext = ctx.field.ext
+    in_plus = _order(ext, log) == 2 * d
+    in_minus = _order(ext, log + (ext.q - 1) // 2) == 2 * d
     if d % 2 == 0 and in_plus != in_minus:
-        raise InvariantError(f"even-index classes must be symmetric (q={field.q}, s={s})")
+        raise _failure(ctx, s, "sign-class", "even-index classes must be symmetric")
     if d % 2 == 1 and in_plus and in_minus:
-        raise InvariantError(f"odd-index classes must be exclusive (q={field.q}, s={s})")
+        raise _failure(ctx, s, "sign-class", "odd-index classes must be exclusive")
     if in_plus:
         return SignClass.PLUS
     if in_minus:
@@ -290,11 +286,11 @@ def sign_class(ctx: DicksonCtx, s, d: int) -> SignClass:
     return SignClass.NEITHER
 
 
-def _norm_class(ctx: DicksonCtx, s: FieldElement, d: int, norms) -> NormClass:
+def _norm_class(ctx: DicksonCtx, s: FieldElement, d: int, norms, log: int) -> NormClass:
     """Sign class of s for degree d, and the character the norms share."""
     residues = {quad_char(m) for m in norms}
     residue = residues.pop() if len(residues) == 1 else None
-    return NormClass(s, d, sign_class(ctx, s, d), norms, residue)
+    return NormClass(s, d, _sign_class(ctx, s, d, log), norms, residue)
 
 
 def norm_residuacity(ctx: DicksonCtx, d: int) -> list:
@@ -305,23 +301,16 @@ def norm_residuacity(ctx: DicksonCtx, d: int) -> list:
     that law is enforced here.  For even d no law is asserted and the shared
     character is reported as None whenever the terms are mixed.
     """
-    field = ctx.field
     out = []
-    for s in elements(field):
-        s, tag, _ = _classify(ctx, s)
+    for s in elements(ctx.field):
+        s, tag, log = _classify(ctx, s)
         if tag.e != d:
             continue
-        nc = _norm_class(ctx, s, d, tuple(_offsets(ctx, s, d)))
+        nc = _norm_class(ctx, s, d, tuple(_offsets(ctx, s, d, log)), log)
         if nc.membership is SignClass.NEITHER:
-            raise InvariantError(
-                f"degree-d parameter outside both sign classes (q={field.q}, s={s})"
-            )
-        if d % 2 == 1:
-            expected = -1 if nc.membership is SignClass.PLUS else 1
-            if nc.residue != expected:
-                raise InvariantError(
-                    f"norm residues for q={field.q}, s={s} violate the odd-degree law"
-                )
+            raise _failure(ctx, s, "residuacity", f"degree-{d} parameter in neither sign class")
+        if d % 2 == 1 and nc.residue != (-1 if nc.membership is SignClass.PLUS else 1):
+            raise _failure(ctx, s, "residuacity", "norm residues violate the odd-degree law")
         out.append(nc)
     return out
 
@@ -431,7 +420,7 @@ def degree_table_check(ctx: DicksonCtx, d: int) -> bool:
             profile = build_profile(field, c)
         except DomainError:
             return False
-        if profile.e != d or factor_shape_poly(profile) != expected:
+        if profile.e != d or factor_shape_poly(field, d) != expected:
             return False
     return True
 

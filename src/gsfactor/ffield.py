@@ -557,6 +557,38 @@ class QuadraticExtension(FieldCtx):
         cands = ((br.rep_at(i), br.one_rep) for i in range(br.q))
         return next(a for a in cands if self.mult_order_rep(a) == self.q - 1)
 
+    @functools.cached_property
+    def _log_steps(self) -> tuple:
+        """Per prime power m exactly dividing q - 1, with h = generator_rep^((q-1)/m)
+        and w = isqrt(m - 1) + 1: (m, w, {h^j: j for j < w}, h^-w)."""
+        out = []
+        for ell in self._order_primes:
+            m = ell
+            while (self.q - 1) % (m * ell) == 0:
+                m *= ell
+            h, width = self.rpow(self.generator_rep, (self.q - 1) // m), math.isqrt(m - 1) + 1
+            baby, cur = {}, self.one_rep
+            for j in range(width):
+                baby[cur] = j
+                cur = self.rmul(cur, h)
+            out.append((m, width, baby, self.rinv(cur)))
+        return tuple(out)
+
+    def log_rep(self, a) -> int:
+        """The discrete log of the rep a to ``generator_rep``: Pohlig-Hellman
+        (IEEE Trans. Inf. Theory 24, 1978) over the prime powers m of q - 1,
+        with baby-step/giant-step in each subgroup of order m."""
+        if a == self.zero_rep:
+            raise DomainError("discrete log of zero is undefined")
+        x, mod = 0, 1
+        for m, width, baby, giant in self._log_steps:
+            t, i = self.rpow(a, (self.q - 1) // m), 0
+            while t not in baby:
+                t, i = self.rmul(t, giant), i + 1
+            x += mod * ((i * width + baby[t] - x) * pow(mod, -1, m) % m)
+            mod *= m
+        return x
+
     def rep_at(self, i: int):
         hi, lo = divmod(i, self.base.q)
         return (self.base.rep_at(hi), self.base.rep_at(lo))

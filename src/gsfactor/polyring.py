@@ -348,19 +348,10 @@ def is_irreducible(f: Poly) -> bool:
 
 
 def roots_in_field(f: Poly, seed: int | None = None) -> list[FieldElement]:
-    """All roots lying in the coefficient field, with multiplicity, sorted."""
+    """All roots lying in the coefficient field, with multiplicity, sorted:
+    the roots of the degree-1 factors of ``factorize``."""
     if f.is_zero:
         raise DomainError("the zero polynomial has every root")
-    if f.degree == 0:
-        return []
     ctx = f.ctx
-    ker, v = f._vectors(len(f.reps))
-    rng = random.Random(DEFAULT_SEED if seed is None else seed)
-    out = []
-    for rep in sorted(ker.distinct_roots(ker.make_monic(v)[1], rng)):
-        lin = ker.from_reps([ctx.rneg(rep), ctx.one_rep])
-        q, r = ker.pdivmod(v, lin)
-        while ker.deg(r) < 0:  # one more factor y - root
-            out.append(FieldElement(ctx, rep))
-            v, (q, r) = q, ker.pdivmod(q, lin)
-    return out
+    linear = (g for g, m in factorize(f, seed).factors if g.degree == 1 for _ in range(m))
+    return [FieldElement(ctx, rep) for rep in sorted(ctx.rneg(g.reps[0]) for g in linear)]

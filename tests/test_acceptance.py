@@ -228,9 +228,13 @@ def test_criterion_5_structural_laws(sweep):
                 degs = sorted(g.degree for g, m in generic.factors for _ in range(m))
                 if degs != [e] * (ctx.E // e):
                     failures.append(f"q={q} s={s}: generic degrees {degs}")
+                # period law: the e read from log(beta) is the recurrence's period
+                profile = build_profile(field, 1 - s * s)
+                if profile.e != e:
+                    failures.append(f"q={q} s={s}: e={e} but the period is {profile.e}")
                 # factor-shape law: all closed factors share their nonconstant
                 # part, the product over the recurrence's first period
-                shape = product_shape(build_profile(field, 1 - s * s))
+                shape = product_shape(profile)
                 for g, _ in closed.factors:
                     if g - g.coeff(0) != shape:
                         failures.append(f"q={q} s={s}: factor off-shape")

@@ -18,7 +18,7 @@ from gsfactor.factorizer import (
     norm_residuacity,
     sign_class,
 )
-from gsfactor.ffield import elements, quad_char
+from gsfactor.ffield import QuadraticExtension, elements, quad_char
 from gsfactor.polyring import Factorization, elem_json
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -102,27 +102,28 @@ class TestFactor:
         assert code == 2 and "more than once" in err
 
     def test_each_quantity_computed_once(self, capsys, monkeypatch):
-        ctx = build_ctx(make_field_q(13))
-        kinds = [classify(ctx, s).kind for s in elements(ctx.field)]
-        degree_e = kinds.count(CaseKind.DEGREE_E)
-        calls = {"build_profile": 0, "_offsets": 0}
+        # one discrete log of beta per s gives e, the offsets and the sign
+        # class; no recurrence profile is built on the closed-form path
+        q = 13
+        calls = {"build_profile": 0, "log_rep": 0, "_offsets": 0}
 
-        def counted(module, name):
-            real = getattr(module, name)
+        def counted(owner, name):
+            real = getattr(owner, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
                 return real(*args, **kwargs)
 
-            monkeypatch.setattr(module, name, wrapper)
+            monkeypatch.setattr(owner, name, wrapper)
 
         counted(recurrence, "build_profile")
+        counted(QuadraticExtension, "log_rep")
         counted(factorizer, "_offsets")
-        assert run_cli(capsys, "factor", "q=13", "s=6")[0] == 0
-        assert calls == {"build_profile": 1, "_offsets": 1}
-        calls.update(build_profile=0, _offsets=0)
-        assert run_cli(capsys, "atlas", "q=13")[0] == 0
-        assert calls == {"build_profile": degree_e, "_offsets": len(kinds)}
+        assert run_cli(capsys, "factor", f"q={q}", "s=6")[0] == 0
+        assert calls == {"build_profile": 0, "log_rep": 1, "_offsets": 1}
+        calls.update(build_profile=0, log_rep=0, _offsets=0)
+        assert run_cli(capsys, "atlas", f"q={q}")[0] == 0
+        assert calls == {"build_profile": 0, "log_rep": q, "_offsets": q}
 
 
 class TestVerify:

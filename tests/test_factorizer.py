@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from shape_oracle import product_shape
 
-from gsfactor import dickson, factorizer, ffield, polyring
+from gsfactor import dickson, factorizer, ffield, polyring, recurrence
 from gsfactor._kernels import DigitKernel, Kernel, ModPKernel, ObjectKernel
 from gsfactor.cli import _odd_prime_powers
 from gsfactor.dickson import build_ctx, build_g
@@ -152,12 +152,12 @@ class TestClosedFormBranches:
 class TestShapePoly:
     def test_f13_shape(self):
         prof = build_profile(CTX13.field, 4)
-        N = factor_shape_poly(prof)
+        N = factor_shape_poly(prof.ctx, prof.e)
         assert poly_str(N) == "y^3 + 5*y^2 + 3*y"
 
     def test_even_period_shape(self):
         prof = build_profile(CTX17.field, 2)  # e = 8
-        N = factor_shape_poly(prof)
+        N = factor_shape_poly(prof.ctx, prof.e)
         assert N.is_monic and N.degree == 8
         # (y^2 - y) * prod (y - c_k)^2 over k = 1..3, recomputed directly
         x = Poly.x(CTX17.field)
@@ -168,7 +168,7 @@ class TestShapePoly:
 
     def test_shape_vanishing_pattern(self):
         prof = build_profile(CTX19.field, 9)  # e = 5
-        N = factor_shape_poly(prof)
+        N = factor_shape_poly(prof.ctx, prof.e)
         assert not N(CTX19.field.zero)
         for k in range(1, 5):
             assert not N(prof.term(k))
@@ -183,7 +183,8 @@ class TestChebyshevShape:
             fields += 1
             for prof in degree_e_profiles(make_field_q(q)):
                 profiles += 1
-                assert factor_shape_poly(prof) == product_shape(prof), f"q={q} e={prof.e}"
+                shape = factor_shape_poly(prof.ctx, prof.e)
+                assert shape == product_shape(prof), f"q={q} e={prof.e}"
         assert (fields, profiles) == (53, 1154)
 
     def test_object_kernel(self, monkeypatch):
@@ -191,7 +192,7 @@ class TestChebyshevShape:
         monkeypatch.setattr(factorizer, "kernel_for", lambda ctx, bound: ObjectKernel(ctx))
         for q in (13, 27, 37):
             for prof in degree_e_profiles(make_field_q(q)):
-                assert factor_shape_poly(prof) == product_shape(prof)
+                assert factor_shape_poly(prof.ctx, prof.e) == product_shape(prof)
 
     def test_table_rows_are_chebyshev_over_q(self):
         # T_{k+1} = 2 x T_k - T_{k-1} on exact coefficient lists in y, x = 1 - 2y
@@ -238,7 +239,7 @@ class TestConstantTerms:
         assert [m.rep for m in m11] == [5, 14, 32]
         # independent check: each shape - m really divides its g_s
         prof = build_profile(CTX37.field, 1 - CTX37.field.elem(26) ** 2)
-        N = factor_shape_poly(prof)
+        N = factor_shape_poly(prof.ctx, prof.e)
         for s, ms in ((26, m26), (11, m11)):
             g = build_g(CTX37, s)
             for m in ms:
@@ -430,10 +431,10 @@ class TestInvariantContext:
         # the offsets (the shape preimages) come from a root of w^N = beta,
         # not from the engine helpers an earlier route called: with those
         # broken, a wrong root is still caught and named by the closed form.
-        # A log of 0 gives the root w0 = 1, and 1^N is not beta at s = 6.
+        # A log of 0 gives the root w0 = 1, whose half-sum 1 is not s = 6.
         monkeypatch.setattr(polyring, name, stub)
         monkeypatch.setattr(factorizer, name, stub, raising=False)
-        monkeypatch.setattr(factorizer, "_log", lambda ext, h: 0)
+        monkeypatch.setattr(ffield.QuadraticExtension, "log_rep", lambda ext, a: 0)
         for entry in (factor_closed_form, constant_terms):
             with pytest.raises(InvariantError) as err:
                 entry(CTX13, 6)
@@ -441,6 +442,28 @@ class TestInvariantContext:
             assert re.search(r"\bs=6\b", str(err.value))
             assert "stage=offsets " in str(err.value)
             assert str(err.value).endswith("replay: gsfactor factor q=13 s=6)")
+
+    @pytest.mark.parametrize(
+        "name, stub, entry, stage",
+        [
+            # beta and -beta both of order 2d = 6: the odd-index classes overlap
+            ("_order", lambda ext, log: 6, lambda: sign_class(CTX13, 6, 3), "sign-class"),
+            # a degree-3 parameter in neither class
+            (
+                "_sign_class",
+                lambda *args: SignClass.NEITHER,
+                lambda: norm_residuacity(CTX13, 3),
+                "residuacity",
+            ),
+        ],
+    )
+    def test_sign_classes_name_field_and_parameter(self, monkeypatch, name, stub, entry, stage):
+        # s = 6 = -1/2 is the first degree-3 parameter of F_13
+        monkeypatch.setattr(factorizer, name, stub)
+        with pytest.raises(InvariantError) as err:
+            entry()
+        assert f"stage={stage} q=13 s=6 " in str(err.value)
+        assert str(err.value).endswith("replay: gsfactor factor q=13 s=6)")
 
 
 class TestOracleEquivalence:
@@ -458,9 +481,12 @@ class TestOracleEquivalence:
 class TestRouteIndependence:
     def test_closed_form_never_calls_the_engine(self, monkeypatch):
         # built before the patches: the modulus search for F_27, F_49 and
-        # F_125 runs the Rabin test, and the s values enumerate the field
+        # F_125 runs the Rabin test, the s values enumerate the field, and
+        # the generator of F_{q^2}^* is found by order computations
         ctxs = [build_ctx(make_field_q(q)) for q in (13, 27, 49, 125)]
         cases = [(ctx, list(elements(ctx.field))) for ctx in ctxs]
+        for ctx in ctxs:
+            assert ctx.field.ext.generator_rep
 
         def engine(*args, **kwargs):
             raise AssertionError("the closed form called the generic engine")
@@ -475,7 +501,6 @@ class TestRouteIndependence:
             (Kernel, "squarefree_parts"),
             (Kernel, "distinct_degree_parts"),
             (Kernel, "equal_degree_split"),
-            (Kernel, "distinct_roots"),
             (Kernel, "is_irreducible"),
             (Kernel, "powmod"),
             (Kernel, "gcd"),
@@ -484,10 +509,16 @@ class TestRouteIndependence:
             (ffield, "elements"),
             (factorizer, "elements"),
             (dickson, "elements"),
+            # nor does it build a recurrence profile or compute an order:
+            # one discrete log of beta gives e, the offsets and the sign class
+            (recurrence, "build_profile"),
+            (recurrence, "mult_order"),
+            (ffield, "mult_order"),
+            (ffield.FieldCtx, "mult_order_rep"),
         ]:
             monkeypatch.setattr(owner, name, engine)
         # and under the names an import into the factorizer would bind
-        for name in ("decompose_by", "roots_in_field"):
+        for name in ("decompose_by", "roots_in_field", "build_profile", "mult_order"):
             monkeypatch.setattr(factorizer, name, engine, raising=False)
         for ctx, values in cases:
             for s in values:
@@ -495,3 +526,4 @@ class TestRouteIndependence:
                 factor_closed_form(ctx, s)  # checks its own reconstruction
                 if tag.kind is CaseKind.DEGREE_E:
                     assert constant_terms(ctx, s)[0] == tag.e
+                    assert sign_class(ctx, s, tag.e) is not SignClass.NEITHER

@@ -372,6 +372,18 @@ class TestQuadraticExtension:
             r = sqrt(ext.embed(x))
             assert r is not None and r * r == ext.embed(x)
 
+    def test_log_inverts_powers_of_the_generator(self):
+        # every element upstairs over F_13 and F_9; a sample over F_10007
+        fields = ((make_field(13), None), (make_field(3, 2), None), (make_field(10007), 200))
+        for F, sample in fields:
+            ext = F.ext
+            rng = random.Random(F.q)
+            exps = range(ext.q - 1) if sample is None else rng.sample(range(ext.q - 1), sample)
+            for x in exps:
+                assert ext.log_rep(ext.rpow(ext.generator_rep, x)) == x
+        with pytest.raises(DomainError):
+            make_field(13).ext.log_rep(make_field(13).ext.zero_rep)
+
     def test_no_iterated_extension(self):
         ext = make_field(13).ext
         with pytest.raises(DomainError):
