@@ -1,14 +1,6 @@
-"""Command-line front end.
-
-Subcommands:
-
-    factor       case report and closed-form factorization of one g_s
-    verify       closed form vs. generic factorization for every s in a field
-    atlas        JSON-lines dump of the case report for every s
-    irreducible  all s with g_s irreducible
-    residuacity  constant-term character report for one degree-e parameter
-    check-corollaries
-                 rational shape tables and the cubic value-set complement
+"""Command-line front end: six subcommands, one row each in ``_COMMANDS``
+(``gsfactor --help`` lists them).  verify and check-corollaries take one
+field or ``--max-q``, which sweeps every odd prime power up to it (at least 3).
 
 Fields are given either as positional tokens (``q=13``, ``p=3,k=2``,
 ``s=6``) or through ``--field``/``--s``.  Element literals may be integers,
@@ -22,6 +14,7 @@ console script stops writing and exits with 1, printing nothing to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -111,9 +104,9 @@ def _odd_prime_powers(limit: int):
             yield q
 
 
-def _case_report(ctx: DicksonCtx, s, with_json: bool = True) -> tuple:
-    """(JSON record, Factorization, constant terms or None) for one s; the
-    record's factorization is None unless ``with_json``."""
+def _case_report(ctx: DicksonCtx, s) -> tuple:
+    """(JSON record with its factorization left None, Factorization, constant
+    terms or None) for one s."""
     s, tag, log, fac, ms = _closed_form(ctx, s)
     rec = {
         "s": elem_json(s),
@@ -122,7 +115,7 @@ def _case_report(ctx: DicksonCtx, s, with_json: bool = True) -> tuple:
         "constant_terms": None,
         "residue": None,
         "b_set": None,
-        "factorization": fac.to_json() if with_json else None,
+        "factorization": None,
     }
     if ms is not None:
         nc = _norm_class(ctx, s, tag.e, ms, log)
@@ -132,22 +125,50 @@ def _case_report(ctx: DicksonCtx, s, with_json: bool = True) -> tuple:
     return rec, fac, ms
 
 
+def _one_field(args) -> tuple:
+    """(context, s) for factor, atlas, irreducible and residuacity; s is
+    parsed, and required, only by the subcommands that take --s."""
+    field_spec, s_literal = _collect(args)
+    takes_s = hasattr(args, "s")
+    if field_spec is None or (takes_s and s_literal is None):
+        what = " and a value of s" if takes_s else ""
+        raise DomainError(f"{args.subcommand} needs a field{what}")
+    field = _parse_field_spec(field_spec)
+    ctx = build_ctx(field)
+    return ctx, _parse_elem(field, s_literal) if takes_s else None
+
+
+def _sweep(args, seeded: bool = False) -> tuple:
+    """(seed or None, (field, output prefix) pairs) for verify and
+    check-corollaries: one field, or every odd prime power up to --max-q.
+    The seed is resolved, when ``seeded``, right after the field/--max-q
+    conflict check."""
+    field_spec, _ = _collect(args)
+    name, max_q = args.subcommand, args.max_q
+    if field_spec is not None and max_q is not None:
+        raise DomainError(f"{name} got both a field ({field_spec}) and --max-q")
+    seed = _resolve_seed(args) if seeded else None
+    if field_spec is not None:
+        return seed, [(_parse_field_spec(field_spec), "")]
+    if max_q is None:
+        raise DomainError(f"{name} needs a field or --max-q")
+    if max_q < 3:
+        raise DomainError(f"--max-q must be at least 3, got {max_q}")
+    return seed, ((make_field_q(q), f"q={q}: ") for q in _odd_prime_powers(max_q))
+
+
 def _emit(obj, out):
     print(json.dumps(obj, indent=2), file=out)
 
 
 def _cmd_factor(args, out) -> int:
-    field_spec, s_literal = _collect(args)
-    if field_spec is None or s_literal is None:
-        raise DomainError("factor needs a field and a value of s")
-    field = _parse_field_spec(field_spec)
-    ctx = build_ctx(field)
-    s = _parse_elem(field, s_literal)
-    rec, fac, ms = _case_report(ctx, s, args.format == "json")
+    ctx, s = _one_field(args)
+    rec, fac, ms = _case_report(ctx, s)
     if args.format == "json":
+        rec["factorization"] = fac.to_json()
         _emit(rec, out)
         return 0
-    print(f"q = {field.q}, n = {ctx.n}, E = {ctx.E}", file=out)
+    print(f"q = {ctx.field.q}, n = {ctx.n}, E = {ctx.E}", file=out)
     print(f"s = {s}", file=out)
     line = f"case: {rec['case']}"
     if rec["e"] is not None:
@@ -160,81 +181,61 @@ def _cmd_factor(args, out) -> int:
     return 0
 
 
-def _verify_one(field: FieldCtx, seed: int, out, fmt: str, prefix: str = "") -> int:
-    ctx = build_ctx(field)
-    mismatches = [
-        s for s in elements(field) if not verify_against_oracle(ctx, s, seed=seed)
-    ]
-    ok = field.q - len(mismatches)
-    for s in mismatches:
-        sj = json.dumps(elem_json(s), separators=(",", ":"))
-        print(
-            f"stage=verify q={field.q} s={sj} seed={seed} replay: python3 -c "
-            '"from gsfactor import build_ctx, make_field_q, verify_against_oracle as v; '
-            f'print(v(build_ctx(make_field_q({field.q})), {sj}, seed={seed}))"',
-            file=sys.stderr,
-        )
-    if fmt == "json":
-        _emit(
-            {
-                "q": field.q,
-                "verified": ok,
-                "total": field.q,
-                "mismatches": [elem_json(s) for s in mismatches],
-            },
-            out,
-        )
-    else:
-        print(f"{prefix}{ok}/{field.q} values of s verified", file=out)
-        for s in mismatches:
-            print(f"{prefix}mismatch at s = {s}", file=out)
-    return 3 if mismatches else 0
-
-
 def _cmd_verify(args, out) -> int:
-    field_spec, _ = _collect(args)
-    if field_spec is not None and args.max_q is not None:
-        raise DomainError(f"verify got both a field ({field_spec}) and --max-q")
-    seed = _resolve_seed(args)
-    if field_spec is None:
-        if args.max_q is None:
-            raise DomainError("verify needs a field or --max-q")
-        status = 0
-        for q in _odd_prime_powers(args.max_q):
-            status |= _verify_one(make_field_q(q), seed, out, args.format, f"q={q}: ")
-        return 3 if status else 0
-    return _verify_one(_parse_field_spec(field_spec), seed, out, args.format)
+    seed, sweep = _sweep(args, seeded=True)
+    failed = False
+    for field, prefix in sweep:
+        ctx = build_ctx(field)
+        mismatches = [
+            s for s in elements(field) if not verify_against_oracle(ctx, s, seed=seed)
+        ]
+        ok = field.q - len(mismatches)
+        for s in mismatches:
+            sj = json.dumps(elem_json(s), separators=(",", ":"))
+            print(
+                f"stage=verify q={field.q} s={sj} seed={seed} replay: python3 -c "
+                '"from gsfactor import build_ctx, make_field_q, verify_against_oracle as v; '
+                f'print(v(build_ctx(make_field_q({field.q})), {sj}, seed={seed}))"',
+                file=sys.stderr,
+            )
+        if args.format == "json":
+            _emit(
+                {
+                    "q": field.q,
+                    "verified": ok,
+                    "total": field.q,
+                    "mismatches": [elem_json(s) for s in mismatches],
+                },
+                out,
+            )
+        else:
+            print(f"{prefix}{ok}/{field.q} values of s verified", file=out)
+            for s in mismatches:
+                print(f"{prefix}mismatch at s = {s}", file=out)
+        failed = failed or bool(mismatches)
+    return 3 if failed else 0
 
 
 def _cmd_atlas(args, out) -> int:
-    field_spec, _ = _collect(args)
-    if field_spec is None:
-        raise DomainError("atlas needs a field")
-    field = _parse_field_spec(field_spec)
-    ctx = build_ctx(field)
-    for s in elements(field):
-        print(json.dumps(_case_report(ctx, s)[0]), file=out)
+    ctx, _ = _one_field(args)
+    for s in elements(ctx.field):
+        rec, fac, _ = _case_report(ctx, s)
+        rec["factorization"] = fac.to_json()
+        print(json.dumps(rec), file=out)
     return 0
 
 
 def _cmd_irreducible(args, out) -> int:
-    field_spec, _ = _collect(args)
-    if field_spec is None:
-        raise DomainError("irreducible needs a field")
-    field = _parse_field_spec(field_spec)
-    ctx = build_ctx(field)
-    vals = irreducible_s_values(ctx)
+    ctx, _ = _one_field(args)
+    q, vals = ctx.field.q, irreducible_s_values(ctx)
     if args.format == "json":
-        _emit(
-            {"q": field.q, "count": len(vals), "s_values": [elem_json(v) for v in vals]},
-            out,
-        )
+        _emit({"q": q, "count": len(vals), "s_values": [elem_json(v) for v in vals]}, out)
         return 0
     if not vals:
-        print(f"no irreducible g_s over F_{field.q}", file=out)
+        print(f"no irreducible g_s over F_{q}", file=out)
     else:
         print(
-            f"irreducible g_s over F_{field.q} ({len(vals)} values of s): "
+            f"irreducible g_s over F_{q} ({len(vals)} values of s): "
             + ", ".join(str(v) for v in vals),
             file=out,
         )
@@ -242,12 +243,8 @@ def _cmd_irreducible(args, out) -> int:
 
 
 def _cmd_residuacity(args, out) -> int:
-    field_spec, s_literal = _collect(args)
-    if field_spec is None or s_literal is None:
-        raise DomainError("residuacity needs a field and a value of s")
-    field = _parse_field_spec(field_spec)
-    ctx = build_ctx(field)
-    s, e, ms, log = _constant_terms(ctx, _parse_elem(field, s_literal))
+    ctx, s = _one_field(args)
+    s, e, ms, log = _constant_terms(ctx, s)
     nc = _norm_class(ctx, s, e, ms, log)
     residues = [quad_char(m) for m in ms]
     if args.format == "json":
@@ -287,21 +284,11 @@ def _corollary_checks(ctx: DicksonCtx) -> list:
 
 
 def _cmd_check_corollaries(args, out) -> int:
-    field_spec, _ = _collect(args)
-    if field_spec is not None and args.max_q is not None:
-        raise DomainError(f"check-corollaries got both a field ({field_spec}) and --max-q")
-    specs = []
-    if field_spec is not None:
-        specs.append(_parse_field_spec(field_spec))
-    elif args.max_q is not None:
-        specs.extend(make_field_q(q) for q in _odd_prime_powers(args.max_q))
-    else:
-        raise DomainError("check-corollaries needs a field or --max-q")
+    _, sweep = _sweep(args)
     failed = False
     records = []
-    for field in specs:
-        ctx = build_ctx(field)
-        checks = _corollary_checks(ctx)
+    for field, _ in sweep:
+        checks = _corollary_checks(build_ctx(field))
         records.append(
             {
                 "q": field.q,
@@ -319,16 +306,26 @@ def _cmd_check_corollaries(args, out) -> int:
     return 3 if failed else 0
 
 
+# name -> (handler, help, the one flag beyond the common ones)
 _COMMANDS = {
-    "factor": _cmd_factor,
-    "verify": _cmd_verify,
-    "atlas": _cmd_atlas,
-    "irreducible": _cmd_irreducible,
-    "residuacity": _cmd_residuacity,
-    "check-corollaries": _cmd_check_corollaries,
+    "factor": (_cmd_factor, "factor one g_s", "--s"),
+    "verify": (_cmd_verify, "compare all closed forms with the oracle", "--max-q"),
+    "atlas": (_cmd_atlas, "JSON-lines case report per s", None),
+    "irreducible": (_cmd_irreducible, "all s with g_s irreducible", None),
+    "residuacity": (_cmd_residuacity, "constant-term characters for one s", "--s"),
+    "check-corollaries": (
+        _cmd_check_corollaries,
+        "shape tables and the cubic complement",
+        "--max-q",
+    ),
+}
+_FLAGS = {
+    "--s": {"help": "parameter value"},
+    "--max-q": {"type": int, "help": "sweep all odd prime powers up to this"},
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("tokens", nargs="*", help="q=..., p=...,k=..., s=...")
@@ -343,36 +340,20 @@ def _build_parser() -> argparse.ArgumentParser:
         description="factor y^n + (1-y)^n - s over F_q (n = (q+1)/2) in closed form",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("factor", parents=[common], help="factor one g_s")
-    p.add_argument("--s", help="parameter value")
-    p = sub.add_parser(
-        "verify", parents=[common], help="compare all closed forms with the oracle"
-    )
-    p.add_argument("--max-q", type=int, help="sweep all odd prime powers up to this")
-    sub.add_parser("atlas", parents=[common], help="JSON-lines case report per s")
-    sub.add_parser("irreducible", parents=[common], help="all s with g_s irreducible")
-    p = sub.add_parser(
-        "residuacity", parents=[common], help="constant-term characters for one s"
-    )
-    p.add_argument("--s", help="parameter value")
-    p = sub.add_parser(
-        "check-corollaries",
-        parents=[common],
-        help="shape tables and the cubic complement",
-    )
-    p.add_argument("--max-q", type=int, help="sweep all odd prime powers up to this")
+    for name, (_, help_text, flag) in _COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        if flag is not None:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.subcommand](args, sys.stdout)
+        return _COMMANDS[args.subcommand][0](args, sys.stdout)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

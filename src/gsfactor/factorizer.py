@@ -144,32 +144,30 @@ def _beta(ctx: DicksonCtx, s: FieldElement) -> FieldElement:
 
 
 def _offsets(ctx: DicksonCtx, s: FieldElement, e: int, log: int) -> list:
-    """The offsets m_j = U((w_j + 1/w_j)/2 - 1), each counted once per root,
-    over the N = E/e roots w_j = w0 zeta^j of w^N = beta = g^log, w0 = g^(log/N),
-    zeta = g^((q^2-1)/N).  The roots of w^N = 1/beta give the same offsets, so
-    w0 is checked against s itself.  The offsets follow
-    m_{j+1} = c m_j - m_{j-1} + U(c - 2), c = zeta + 1/zeta: on F_q reps,
-    returned in canonical order, when c, m_{-1} and m_0 lie in F_q, and
-    otherwise, only at e = 1, on F_{q^2} reps."""
+    """The offsets m_j = U(x_j - 1), x_j = (w_j + 1/w_j)/2, each counted once
+    per root, over the N = E/e roots w_j = w0 zeta^j of w^N = beta = g^log,
+    w0 = g^(log/N), zeta = g^((q^2-1)/N).  The roots of w^N = 1/beta give the
+    same offsets, so w0 is checked against s itself.  One walk on F_{q^2} reps
+    gives every U x_j, by x_{j+1} = c x_j - x_{j-1} with c = zeta + 1/zeta.
+    The offsets come back in canonical order when all lie in F_q, and
+    otherwise, only at e = 1, in walk order, each in the smallest field that
+    holds it."""
     field, ext, zero = ctx.field, ctx.field.ext, ctx.field.zero_rep
     n, g = ctx.E // e, ext.generator_rep
     w0 = FieldElement(ext, ext.rpow(g, log // n))
     if (w0**n + w0**-n) / 2 != ext.embed(s):
         raise _failure(ctx, s, "offsets", f"w0 = g^(log(beta)/{n}) has (w0^{n} + w0^-{n})/2 != s")
     zeta, unit = FieldElement(ext, ext.rpow(g, (ext.q - 1) // n)), ext.embed(_unit(field, e))
-    offset = lambda w: unit * ((w + 1 / w) / 2 - 1)
-    c = zeta + 1 / zeta
-    start = [c, unit * (c - 2), offset(w0 / zeta), offset(w0)]
-    walk = field if all(v.rep[1] == zero for v in start) else ext
-    if walk is ext and e > 1:
-        raise _failure(ctx, s, "offsets", "an offset lies outside the field")
-    c, step, prev, cur = (v.rep[0] if walk is field else v.rep for v in start)
+    c = (zeta + 1 / zeta).rep
+    prev, cur = ((unit * (w + 1 / w) / 2).rep for w in (w0 / zeta, w0))
     ms = []
     for _ in range(n):
-        ms.append(cur)
-        prev, cur = cur, walk.radd(walk.rsub(walk.rmul(c, cur), prev), step)
-    if walk is field:
-        return [FieldElement(field, m) for m in sorted(ms)]
+        ms.append(ext.rsub(cur, unit.rep))
+        prev, cur = cur, ext.rsub(ext.rmul(c, cur), prev)
+    if all(m[1] == zero for m in ms):
+        return [FieldElement(field, m) for m in sorted(m[0] for m in ms)]
+    if e > 1:
+        raise _failure(ctx, s, "offsets", "an offset lies outside the field")
     return [FieldElement(field, m[0]) if m[1] == zero else FieldElement(ext, m) for m in ms]
 
 
@@ -414,13 +412,14 @@ def degree_table_check(ctx: DicksonCtx, d: int) -> bool:
     cs = c_of(field)
     if cs is None:
         return False
-    expected = Poly(field, coeffs)
+    if factor_shape_poly(field, d) != Poly(field, coeffs):
+        return False
     for c in cs:
         try:
             profile = build_profile(field, c)
         except DomainError:
             return False
-        if profile.e != d or factor_shape_poly(field, d) != expected:
+        if profile.e != d:
             return False
     return True
 

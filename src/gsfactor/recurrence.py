@@ -22,7 +22,6 @@ from fractions import Fraction
 
 from .errors import DomainError, InvariantError
 from .ffield import FieldCtx, FieldElement, mult_order, quad_char, sqrt
-from .polyring import elem_json
 
 
 @dataclass(frozen=True)
@@ -39,15 +38,6 @@ class RecurrenceProfile:
     def term(self, k: int) -> FieldElement:
         """c_k for any integer k (the sequence is periodic and symmetric)."""
         return self.terms[k % self.e]
-
-    def to_json(self) -> dict:
-        return {
-            "c": elem_json(self.c),
-            "e": self.e,
-            "terms": [elem_json(t) for t in self.terms],
-            "beta": str(self.beta),
-            "beta_order": 2 * self.e,
-        }
 
 
 def build_profile(ctx: FieldCtx, c) -> RecurrenceProfile:

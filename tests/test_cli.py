@@ -1,5 +1,6 @@
 """CLI contract: parsing, output shapes, exit codes."""
 
+import argparse
 import json
 import os
 import shlex
@@ -186,6 +187,11 @@ class TestVerify:
         assert code == 2 and out == ""
         assert "q=13" in err and "--max-q" in err
 
+    def test_max_q_below_three(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--max-q", "2")
+        assert code == 2 and out == ""
+        assert err == "error: --max-q must be at least 3, got 2\n"
+
 
 class TestAtlas:
     def test_record_per_s_and_roundtrip(self, capsys):
@@ -364,6 +370,11 @@ class TestCheckCorollaries:
         assert code == 2 and out == ""
         assert "q=13" in err and "--max-q" in err
 
+    def test_max_q_below_three(self, capsys):
+        code, out, err = run_cli(capsys, "check-corollaries", "--max-q", "2", "--format", "json")
+        assert code == 2 and out == ""
+        assert err == "error: --max-q must be at least 3, got 2\n"
+
 
 class TestParsing:
     def test_no_subcommand(self, capsys):
@@ -379,3 +390,16 @@ class TestParsing:
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0
+
+    def test_parser_built_once(self, capsys, monkeypatch):
+        built = []
+        real = argparse.ArgumentParser.__init__
+
+        def counted(parser, *args, **kwargs):
+            built.append(parser)
+            real(parser, *args, **kwargs)
+
+        assert run_cli(capsys, "irreducible", "q=5")[0] == 0
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        assert run_cli(capsys, "irreducible", "q=5")[0] == 0
+        assert built == []

@@ -76,6 +76,37 @@ PINS = [
         60,
         "10ec94034865dd418fe7a66e33da33d6773069675bfc9eb08183d1d5fc34765a",
     ),
+    # every other subcommand's output, sweeps included
+    (
+        "gsfactor verify --max-q 9 --format json",
+        0,
+        60,
+        "8efc5cac67c418458fd9ae0c336b9b05c4e0bce9b08179141840609b1cee95bb",
+    ),
+    (
+        "gsfactor check-corollaries --max-q 30 --format json",
+        0,
+        60,
+        "2f39ba5a4912dfda5c22d1f21e08126fc36dbecdf0a4f4ec02c131523803a2ea",
+    ),
+    (
+        "gsfactor residuacity q=19 s=12 --format json",
+        0,
+        60,
+        "fb26d4e1cc1bcf0608f0f127fa1d9a8b608595d176d50d6d3fb3a277405d7d87",
+    ),
+    (
+        "gsfactor irreducible q=13 --format json",
+        0,
+        60,
+        "7f9501306b3530e7913663bfba162ef30bf831ec81f4b6a10fc527d02f60562b",
+    ),
+    (
+        "gsfactor atlas p=3,k=3",
+        0,
+        60,
+        "9d158fc4d8ba1d6fd38682c6497a124dec35daf79cc945e5521d85636a9bd825",
+    ),
 ]
 
 
