@@ -25,12 +25,23 @@ product with a table whose row j is x^(n+j) mod m (or a Newton inverse
 above ``TABLE_MAX_DEGREE``), and the q-power map.
 
 Distinct-degree splitting, equal-degree splitting and the Rabin test all
-step through q-th powers modulo one square-free f.  They share the
-reducer's ``frobenius(v)``: the q-power map as a product with the Frobenius
-matrix of f (row i is x^(q*i) mod f), built once per square-free part and
-restricted to each piece that equal-degree splitting splits (von zur
-Gathen & Shoup, Comput. Complexity 2, 1992; Kaltofen & Shoup, Math. Comp.
-67, 1998).
+step through q-th powers modulo f.  They share the reducer's
+``frobenius(v)``: the q-power map as a product with the Frobenius matrix of
+f (row i is x^(q*i) mod f), built once per polynomial and restricted to
+each square-free part and each piece that equal-degree splitting splits
+(von zur Gathen & Shoup, Comput. Complexity 2, 1992; Kaltofen & Shoup,
+Math. Comp. 67, 1998).
+
+Factoring starts with the walk h_j = x^(q^j) mod f, kept on the reducer.
+Where h_L = x for some L <= deg f, f divides x^(q^L) - x: it is square-free,
+with every factor degree dividing L, so the square-free split is skipped
+and distinct-degree splitting takes one gcd(f, h_(L/l) - x) per prime l of
+L, peeling the proper divisors of L only where one of those is nontrivial.
+Otherwise (squared factors, or a degree lcm above deg f) the square-free
+split and the block search run on the same walk.  A piece of two factors
+of degree d is split with one draw: its trace r + r^q + ... + r^(q^(d-1))
+is a different constant modulo each factor (Berlekamp, Math. Comp. 24,
+1970), a root of a quadratic over F_q.
 
 The numpy kernels' ``gcd`` runs Euclid's remainder sequence on lists of
 Python ints, with no numpy call per step.  ``ModPKernel`` keeps residues
@@ -76,8 +87,9 @@ EUCLID_LIST_MAX_DEGREE = 160
 # 0.1-2 ms up to q = 3^7, mostly the search for a primitive element; 6.7 ms
 # and 1.0 MiB kept at 3^9; 15 ms and 4.2 MiB at 5^7; 0.25 s and 28 MiB at 3^12.
 ZECH_MAX_Q = 1 << 16
-# A draw splits a product of degree-d factors with probability about 1/2, so
-# this many failures in a row (odds near 2^-64) means an arithmetic fault.
+# A draw splits a product of degree-d factors with probability about 1/2 (a
+# pair's trace fails with probability 1/q), so this many failures in a row
+# (odds near 2^-64 or below) means an arithmetic fault.
 MAX_FAILED_DRAWS = 64
 
 
@@ -139,8 +151,9 @@ class _Reducer:
     On F_q[x]/(m) the q-power map v -> v^q is F_q-linear: v^q = sum_i v_i
     x^(q*i), one product of v with the Frobenius matrix.  The matrix is built
     on the first call; where it would pass ``FROBENIUS_MAX_ENTRIES`` the map
-    is the square-and-multiply ladder instead.  ``restrict`` gives the same
-    object modulo a divisor of m."""
+    is the square-and-multiply ladder instead.  ``x_power`` keeps the walk
+    of x^(q^j) mod m, and ``find_period`` the least j >= 1 where it is x
+    again.  ``restrict`` gives the same object modulo a divisor of m."""
 
     def __init__(self, kernel: "Kernel", m):
         self.kernel = kernel
@@ -152,6 +165,8 @@ class _Reducer:
         self.prec = 0
         self.matrix = None
         self.use_matrix = kernel.frobenius_fits(self.n)
+        self.powers = None  # x^(q^j) mod m for j = 0, 1, ..., as far as walked
+        self.period = None  # least L >= 1 with x^(q^L) = x mod m, once found
 
     def _grow(self, rows: int):
         """Make the table hold at least ``rows`` rows (at least n - 1, enough
@@ -209,6 +224,27 @@ class _Reducer:
         if not self.use_matrix:
             return ker.powmod(v, ker.ctx.q, self)
         return self.reduce(ker.apply_matrix(self.frobenius_matrix(), v))
+
+    def x_power(self, j: int):
+        """x^(q^j) mod m, one q-power map from x^(q^(j-1)); every power
+        walked so far is kept."""
+        if self.powers is None:
+            self.powers = [self.reduce(self.kernel.xvec())]
+        powers = self.powers
+        while len(powers) <= j:
+            powers.append(self.frobenius(powers[-1]))
+        return powers[j]
+
+    def find_period(self, limit: int):
+        """The least L <= ``limit`` with x^(q^L) = x mod m, kept as
+        ``period``, or None.  With one, m divides x^(q^L) - x: it is
+        square-free and the degree of each of its factors divides L."""
+        x = self.x_power(0)
+        for j in range(1, limit + 1):
+            if self.kernel.eq(self.x_power(j), x):
+                self.period = j
+                break
+        return self.period
 
     def restrict(self, g) -> "_Reducer":
         """The object for a monic divisor g of m.  Its Frobenius matrix is the
@@ -378,41 +414,72 @@ class Kernel:
     def distinct_degree_parts(self, f, red: _Reducer | None = None):
         """Monic squarefree f -> [(product of degree-d factors, d)].
 
-        h_j = x^(q^j) is kept modulo f itself, one Frobenius step per j.
-        The products of (h_j - x) over a block of ceil(sqrt(deg f)) degrees
-        share one gcd with the part of f not yet split off; only a block
-        whose gcd is nontrivial is searched degree by degree."""
+        h_j = x^(q^j) mod f comes from ``red.x_power``, which keeps the
+        walk.  Where the walk has found the period L of x (``find_period``),
+        every factor degree divides L: one gcd(f, h_(L/l) - x) per prime l
+        of L tells whether any factor has a proper divisor of L as degree,
+        and only then are those divisors peeled off in increasing order.
+        Otherwise the products of (h_j - x) over a block of
+        ceil(sqrt(deg f)) degrees share one gcd with the part of f not yet
+        split off; only a block whose gcd is nontrivial is searched degree
+        by degree."""
         if red is None:
             red = self.reducer(f)
-        x = red.reduce(self.xvec())
+        if red.period is not None:
+            return self._period_parts(f, red.period, red)
+        x = red.x_power(0)
         block = math.isqrt(max(self.deg(f) - 1, 0)) + 1
         out = []
-        rest, h, j = f, x, 0
+        rest, j = f, 0
         while self.deg(rest) >= 2 * (j + 1):
             first = j + 1
             stop = min(j + block, self.deg(rest) // 2)
-            hs, prod = [], self.one()
+            prod = self.one()
             while j < stop:
                 j += 1
-                h = red.frobenius(h)
-                hs.append(h)
-                prod = red.reduce(self.mul(prod, self.sub(h, x)))
+                prod = red.reduce(self.mul(prod, self.sub(red.x_power(j), x)))
             g = self.gcd(rest, prod)
             if self.deg(g) <= 0:
                 continue
             rest = self.exact_div(rest, g)
-            for i, hi in enumerate(hs, first):
+            for i in range(first, j + 1):
                 if self.deg(g) < 2 * i:
                     # every factor left has degree >= i: g is one or none
                     if self.deg(g) > 0:
                         out.append((g, self.deg(g)))
                     break
-                gi = self.gcd(g, self.sub(hi, x))
+                gi = self.gcd(g, self.sub(red.x_power(i), x))
                 if self.deg(gi) > 0:
                     out.append((gi, i))
                     g = self.exact_div(g, gi)
         if self.deg(rest) > 0:
             out.append((rest, self.deg(rest)))
+        return out
+
+    def _period_parts(self, f, period: int, red: _Reducer):
+        """``distinct_degree_parts`` of an f that divides x^(q^L) - x, L =
+        ``period`` the least such: gcd(f, h_(L/l) - x) is the product of the
+        factors whose degree divides L/l, so where it is 1 for every prime
+        l of L, f is a product of degree-L factors."""
+        x = red.x_power(0)
+        low = {
+            period // ell: self.gcd(f, self.sub(red.x_power(period // ell), x))
+            for ell in _factor_int(period)
+        }
+        if all(self.deg(g) == 0 for g in low.values()):
+            return [(f, period)]
+        out, rest = [], f
+        for d in range(1, period):
+            # a factor of degree d divides every low[m] with d | m
+            if period % d or any(m % d == 0 and self.deg(g) == 0 for m, g in low.items()):
+                continue
+            # before anything is peeled, gcd(rest, h_d - x) is low[d] if known
+            g = low[d] if not out and d in low else self.gcd(rest, self.sub(red.x_power(d), x))
+            if self.deg(g) > 0:
+                out.append((g, d))
+                rest = self.exact_div(rest, g)
+        if self.deg(rest) > 0:
+            out.append((rest, period))
         return out
 
     def equal_degree_split(self, f, d: int, rng, red: _Reducer | None = None):
@@ -421,13 +488,16 @@ class Kernel:
         ``red`` is the reducer modulo f or a multiple of f; for d > 1 it is
         restricted to f once, and each piece passes its own down.  A
         random r splits f through r^((q^d-1)/2) - 1, computed as the norm
-        r * r^q * ... * r^(q^(d-1)) raised to (q-1)/2.  ``MAX_FAILED_DRAWS``
-        failed draws in a row raise ``InvariantError``."""
+        r * r^q * ... * r^(q^(d-1)) raised to (q-1)/2; a piece of two
+        factors is finished by ``_split_pair`` instead.
+        ``MAX_FAILED_DRAWS`` failed draws in a row raise ``InvariantError``."""
         n = self.deg(f)
         if n == d:
             return [f]
         # restricting builds the parent's Frobenius matrix, which d = 1 never uses
         red = red.restrict(f) if red is not None and d > 1 else self.reducer(f)
+        if n == 2 * d:
+            return self._split_pair(f, d, rng, red)
         half = (self.ctx.q - 1) // 2
         for _ in range(MAX_FAILED_DRAWS):
             r = self.rand_vec(rng, n)
@@ -450,13 +520,59 @@ class Kernel:
             rest, d, rng, red
         )
 
+    def _split_pair(self, f, d: int, rng, red: _Reducer):
+        """The two degree-d factors of f, from one draw that does not fail
+        (Berlekamp, Math. Comp. 24, 1970): the trace u = r + r^q + ... +
+        r^(q^(d-1)) is a constant c1 modulo one factor and c2 modulo the
+        other, so u^2 = (c1 + c2) u - c1 c2, c1 is a root of that quadratic
+        over F_q, and gcd(f, u - c1) is one factor.  A draw fails where
+        c1 = c2, u then being constant."""
+        ctx, n = self.ctx, self.deg(f)
+        where = f"(q={ctx.q}, deg f={n}, d={d})"
+        for _ in range(MAX_FAILED_DRAWS):
+            u = r = self.rand_vec(rng, n)
+            for _ in range(d - 1):
+                r = red.frobenius(r)
+                u = self.add(u, r)
+            if self.deg(u) >= 1:
+                break
+        else:
+            raise InvariantError(
+                f"equal-degree splitting drew {MAX_FAILED_DRAWS} constant traces {where}"
+            )
+        t = self.deg(u)
+        sq = red.reduce(self.mul(u, u))
+        us, ss = self.to_reps(u), self.to_reps(self.pad(sq, t + 1))
+        a = ctx.rmul(ss[t], ctx.rinv(us[t]))  # c1 + c2
+        b = ctx.rsub(ss[0], ctx.rmul(a, us[0]))  # -c1 c2
+        if not self.eq(sq, self.add(self.scale(u, a), self.from_reps([b]))):
+            raise InvariantError(f"a trace is not a root of a quadratic over F_q {where}")
+        root = ctx.sqrt_rep(ctx.radd(ctx.rmul(a, a), ctx.rmul(ctx.rep_of(4), b)))
+        if root is None:
+            raise InvariantError(f"a trace's quadratic has a nonsquare discriminant {where}")
+        c1 = ctx.rmul(ctx.radd(a, root), ctx.rinv(ctx.rep_of(2)))
+        g = self.gcd(f, self.sub(u, self.from_reps([c1])))
+        if self.deg(g) != d:
+            raise InvariantError(f"a trace's gcd has degree {self.deg(g)} {where}")
+        return [g, self.exact_div(f, g)]
+
     def factor_monic(self, f, rng):
-        """Monic f, deg >= 1 -> [(monic irreducible, multiplicity)]."""
+        """Monic f, deg >= 1 -> [(monic irreducible, multiplicity)].
+
+        The walk of x^(q^j) mod f comes first, up to deg f while the q-power
+        map is a matrix product and up to deg f / 2 on the ladder.  Where it
+        returns to x, f is square-free and ``distinct_degree_parts`` reuses
+        the walk.  Otherwise f is split into square-free parts, each on f's
+        reducer restricted to it (f's own where the part is f)."""
+        n = self.deg(f)
+        red = self.reducer(f)
+        walk = n if red.use_matrix else n // 2
+        parts = [(f, 1)] if red.find_period(walk) else self.squarefree_parts(f)
         out = []
-        for part, mult in self.squarefree_parts(f):
-            red = self.reducer(part)  # one Frobenius matrix per part
-            for prod, d in self.distinct_degree_parts(part, red):
-                for irr in self.equal_degree_split(prod, d, rng, red):
+        for part, mult in parts:
+            pred = red.restrict(part)
+            for prod, d in self.distinct_degree_parts(part, pred):
+                for irr in self.equal_degree_split(prod, d, rng, pred):
                     out.append((irr, mult))
         return out
 

@@ -78,6 +78,8 @@ def _collect(args) -> tuple:
                 raise DomainError("field given more than once")
             field_spec = token
         elif token.startswith("s="):
+            if not hasattr(args, "s"):
+                raise DomainError(f"{args.subcommand} takes no s (got {token!r})")
             if s_literal is not None:
                 raise DomainError("s given more than once")
             s_literal = token[2:]
@@ -335,13 +337,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--seed", type=int, help="base RNG seed for the oracle")
 
+    # no prefix matching: on a subcommand without --s, "--s 3" would be --seed 3
     parser = argparse.ArgumentParser(
         prog="gsfactor",
         description="factor y^n + (1-y)^n - s over F_q (n = (q+1)/2) in closed form",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, (_, help_text, flag) in _COMMANDS.items():
-        p = sub.add_parser(name, parents=[common], help=help_text)
+        p = sub.add_parser(name, parents=[common], help=help_text, allow_abbrev=False)
         if flag is not None:
             p.add_argument(flag, **_FLAGS[flag])
     return parser

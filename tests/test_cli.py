@@ -388,6 +388,26 @@ class TestParsing:
         code, _, err = run_cli(capsys, "factor", "q=13", "s=banana")
         assert code == 2 and "bad element literal" in err
 
+    @pytest.mark.parametrize("name", ["verify", "atlas", "irreducible", "check-corollaries"])
+    def test_s_token_rejected_where_unused(self, capsys, name):
+        code, out, err = run_cli(capsys, name, "q=13", "s=banana")
+        assert (code, out) == (2, "")
+        assert err == f"error: {name} takes no s (got 's=banana')\n"
+
+    @pytest.mark.parametrize("name", ["verify", "atlas", "irreducible", "check-corollaries"])
+    def test_s_flag_is_not_seed(self, capsys, name):
+        # no prefix matching: --s is not read as --seed
+        code, out, err = run_cli(capsys, name, "q=13", "--s", "3")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --s 3" in err
+
+    @pytest.mark.parametrize("name", sorted(cli._COMMANDS))
+    def test_no_abbreviated_flags(self, capsys, name):
+        s = ["s=3"] if cli._COMMANDS[name][2] == "--s" else []
+        code, out, err = run_cli(capsys, name, "q=13", *s, "--form", "json")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --form json" in err
+
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0
 

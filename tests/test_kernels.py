@@ -147,13 +147,60 @@ class TestStages:
     def test_failed_draws_raise(self, monkeypatch):
         # a powmod that always returns 1 never splits: the cap turns the
         # endless draw loop into an InvariantError naming q, deg f and d
+        # (three linear factors: a piece of two is finished without powers)
         ker = ModPKernel(FIELDS["F199"])
         monkeypatch.setattr(ModPKernel, "powmod", lambda self, v, e, red: self.one())
-        f = ker.mul(ker.from_reps([3, 1]), ker.from_reps([5, 1]))
+        f = product(ker, [ker.from_reps([c, 1]) for c in (3, 5, 7)])
         start = time.perf_counter()
-        with pytest.raises(InvariantError, match=r"q=199, deg f=2, d=1"):
+        with pytest.raises(InvariantError, match=r"q=199, deg f=3, d=1"):
             ker.equal_degree_split(f, 1, random.Random(1))
         assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_constant_traces_raise(self, field, d, monkeypatch):
+        # a draw whose trace is the same constant on both factors cannot
+        # split a pair: the cap turns the endless loop into an InvariantError
+        fast, ref = both(field)
+        pair = irreducibles(field, [d, d], random.Random(12))
+        f = fast.from_reps(ref.to_reps(product(ref, pair)))
+        draws = []
+        constant = lambda ker, rng, n: draws.append(n) or ker.one()  # noqa: E731
+        monkeypatch.setattr(type(fast), "rand_vec", constant)
+        with pytest.raises(InvariantError, match=rf"q={field.q}, deg f={2 * d}, d={d}"):
+            fast.equal_degree_split(f, d, random.Random(1))
+        assert len(draws) == _kernels.MAX_FAILED_DRAWS
+
+    @pytest.mark.parametrize(
+        "owner, name, fake, message",
+        [
+            (ffield.FieldCtx, "sqrt_rep", lambda ctx, a: None, "nonsquare discriminant"),
+            (ModPKernel, "gcd", lambda ker, a, b: ker.one(), "gcd has degree 0"),
+        ],
+    )
+    def test_pair_faults_raise(self, owner, name, fake, message, monkeypatch):
+        F = FIELDS["F199"]
+        ker = ModPKernel(F)
+        f = product(ker, [ker.from_reps([c, 1]) for c in (3, 5)])
+        # a fault in the square root or the gcd, after one draw that splits
+        monkeypatch.setattr(owner, name, fake)
+        with pytest.raises(InvariantError, match=rf"{message} \(q=199, deg f=2, d=1\)"):
+            ker.equal_degree_split(f, 1, random.Random(1))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_pair_finish(self, field, d, monkeypatch):
+        # two factors of degree d split through the trace, with no power
+        # taken but the x^q that builds the Frobenius matrix (d > 1)
+        ref = ObjectKernel(field)
+        pair = irreducibles(field, [d, d], random.Random(13))
+        for ker in both(field):
+            f = ker.from_reps(ref.to_reps(product(ref, pair)))
+            real, powers = type(ker).powmod, []
+            monkeypatch.setattr(type(ker), "powmod", lambda *a: powers.append(1) or real(*a))
+            for seed in range(5):
+                got = ker.equal_degree_split(f, d, random.Random(seed))
+                assert sorted(map(ker.to_reps, got)) == sorted(map(ref.to_reps, pair))
+            assert len(powers) == 5 * (d > 1)
+            monkeypatch.undo()
 
     def test_roots_build_no_matrix(self, field, monkeypatch):
         # equal-degree splitting at d = 1 takes no q-power step, so it neither
@@ -164,6 +211,103 @@ class TestStages:
         monkeypatch.setattr(_kernels._Reducer, "frobenius_matrix", lambda self: pytest.fail())
         assert len(ker.equal_degree_split(f, 1, random.Random(1), red)) == 3
         assert red.matrix is None
+
+
+def factor_both(F, degrees, squared=()):
+    """factor_monic, fast kernel against the reference, of a product of
+    distinct irreducibles of these degrees, those at the indices in
+    ``squared`` taken twice; the fast kernel's factors."""
+    fast, ref = both(F)
+    factors = irreducibles(F, degrees, random.Random(len(degrees)))
+    f = product(ref, factors + [factors[i] for i in squared])
+    got = fast.factor_monic(fast.from_reps(ref.to_reps(f)), random.Random(3))
+    want = ref.factor_monic(f, random.Random(3))
+    key = lambda ker: lambda t: (ker.to_reps(t[0]), t[1])  # noqa: E731
+    assert sorted(map(key(fast), got)) == sorted(map(key(ref), want))
+    assert sorted(fast.deg(g) for g, _ in got) == sorted(degrees)
+    return got
+
+
+class TestWalk:
+    """The exits of ``factor_monic``'s walk of x^(q^j) mod f."""
+
+    @pytest.fixture
+    def watch(self, monkeypatch):
+        """The fast kernels' reducers made by ``Kernel.reducer``, in order,
+        and their calls of ``squarefree_parts``."""
+        seen = {"reducers": [], "squarefree": []}
+        real_reducer, real_parts = _kernels.Kernel.reducer, _kernels.Kernel.squarefree_parts
+
+        def reducer(self, m):
+            red = real_reducer(self, m)
+            if not isinstance(self, ObjectKernel):
+                seen["reducers"].append(red)
+            return red
+
+        def parts(self, f):
+            if not isinstance(self, ObjectKernel):
+                seen["squarefree"].append(f)
+            return real_parts(self, f)
+
+        monkeypatch.setattr(_kernels.Kernel, "reducer", reducer)
+        monkeypatch.setattr(_kernels.Kernel, "squarefree_parts", parts)
+        return seen
+
+    @pytest.mark.parametrize(
+        "degrees, period",
+        [
+            ([3, 3, 3], 3),  # equal degrees, e prime
+            ([4, 4], 4),  # equal degrees, e composite
+            ([1, 1, 2, 2], 2),
+            ([2, 3, 3], 6),  # lcm 6 <= n = 8
+        ],
+    )
+    def test_period_found(self, field, degrees, period, watch):
+        factor_both(field, degrees)
+        assert watch["reducers"][0].period == period
+        assert watch["squarefree"] == []
+
+    @pytest.mark.parametrize(
+        "degrees, squared",
+        [
+            ([2, 3], ()),  # lcm 6 above n = 5
+            ([1, 2, 3], (0,)),  # a squared factor
+            ([2, 2], (0, 1)),  # every factor squared
+        ],
+    )
+    def test_no_period_takes_squarefree_parts(self, field, degrees, squared, watch):
+        factor_both(field, degrees, squared)
+        red = watch["reducers"][0]
+        assert red.period is None and len(red.powers) == red.n + 1
+        assert len(watch["squarefree"]) == 1
+
+    def test_ladder_walks_half_the_degree(self, field, watch, monkeypatch):
+        monkeypatch.setattr(_kernels, "FROBENIUS_MAX_ENTRIES", 0)
+        for degrees, period in [([1, 2, 2], 2), ([3, 4], None), ([2, 2, 2], 2)]:
+            watch["reducers"].clear()
+            factor_both(field, degrees)
+            red = watch["reducers"][0]
+            assert not red.use_matrix and red.period == period
+            assert len(red.powers) - 1 <= red.n // 2
+
+    def test_squarefree_input_skips_squarefree_parts(self, field, monkeypatch):
+        monkeypatch.setattr(_kernels.Kernel, "squarefree_parts", lambda self, f: pytest.fail())
+        factor_both(field, [1, 2, 3, 3])
+
+    @pytest.mark.parametrize("squared", [(), (1,)])
+    def test_one_matrix_per_polynomial(self, field, squared, monkeypatch):
+        built = []
+        real = _kernels._Reducer.frobenius_matrix
+
+        def counted(red):
+            if red.matrix is None and not isinstance(red.kernel, ObjectKernel):
+                built.append(red.n)
+            return real(red)
+
+        monkeypatch.setattr(_kernels._Reducer, "frobenius_matrix", counted)
+        degrees = [1, 2, 2, 3, 3, 4]
+        factor_both(field, degrees, squared)
+        assert built == [sum(degrees) + sum(degrees[i] for i in squared)]
 
 
 class TestFrobenius:

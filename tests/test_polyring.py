@@ -246,7 +246,7 @@ class TestFactorize:
         assert re.search(r"\bseed=77\b", str(err.value))
 
     def test_exact_division_names_field_and_degrees(self, monkeypatch):
-        # a gcd that does not divide f makes the square-free step's division fail
+        # a gcd that does not divide f makes the distinct-degree step's division fail
         monkeypatch.setattr(_kernels.ModPKernel, "gcd", lambda self, a, b: self.from_reps([1, 1]))
         x = Poly.x(F13)
         with pytest.raises(InvariantError) as err:
