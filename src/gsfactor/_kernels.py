@@ -20,9 +20,9 @@ row of k digits).
 
 Vectors are dense, low-degree-first, always trimmed (no trailing zeros);
 the zero polynomial is the empty vector.  Everything done modulo one fixed
-monic m of degree n goes through one ``_Reducer``: reduction, as one
-product with a table whose row j is x^(n+j) mod m (or a Newton inverse
-above ``TABLE_MAX_DEGREE``), and the q-power map.
+monic m of degree n goes through one ``_Reducer``: reduction (one product
+with the table whose row j, x^(n+j) mod m, is x * row j-1 mod m, or a Newton
+inverse above ``TABLE_MAX_DEGREE``) and the q-power map.
 
 Distinct-degree splitting, equal-degree splitting and the Rabin test all
 step through q-th powers modulo f.  They share the reducer's
@@ -49,9 +49,9 @@ The numpy kernels' ``gcd`` runs Euclid's remainder sequence on lists of
 Python ints, with no numpy call per step.  ``ModPKernel`` keeps residues
 mod p, and takes its steps whose divisor has degree above
 ``EUCLID_LIST_MAX_DEGREE`` as one ``pdivmod`` each.  ``DigitKernel`` runs
-every step on the log codes of the field's ``ZechTables``, built on its
-first gcd and cached on the field (fields of at most ``ZECH_MAX_Q``
-elements; larger ones keep ``Kernel.gcd``).
+every step on the log codes of the field's ``ZechTables``, which the field's
+own arithmetic reads too (``ExtensionField.log_tables``; fields of at most
+``ZECH_MAX_Q`` elements, larger ones keep ``Kernel.gcd``).
 """
 
 from __future__ import annotations
@@ -83,11 +83,11 @@ TABLE_MAX_DEGREE = 800
 # 1.05 s.  Over F_169, F_625 and F_{3^7} the log-code lists win 1.3-7x even
 # at d = 300, so ``DigitKernel`` has no such bound.
 EUCLID_LIST_MAX_DEGREE = 160
-# Extension fields up to this size get ``ZechTables``, built on the first
-# gcd over the field; above it ``DigitKernel.gcd`` is ``Kernel.gcd``.
-# Building them (best of 3, same VM):
-# 0.1-2 ms up to q = 3^7, mostly the search for a primitive element; 6.7 ms
-# and 1.0 MiB kept at 3^9; 15 ms and 4.2 MiB at 5^7; 0.25 s and 28 MiB at 3^12.
+# Extension fields up to this size get ``ZechTables``, element tables included,
+# on their first product, power or gcd; larger ones keep the digit loops and
+# ``Kernel.gcd``.  Building them (best of 3, same VM; memory kept):
+# 0.2-1.1 ms up to q = 3^7, mostly the primitive-element search; 12.5 ms and
+# 4.2 MiB at 3^9; 25 ms and 5.8 MiB at 13^4; 0.13 s and 14.7 MiB at 3^10.
 ZECH_MAX_Q = 1 << 16
 # A draw fails on a piece of r >= 3 factors when all r traces fall on the
 # same side of "nonzero square", with probability P^r + (1 - P)^r for
@@ -107,7 +107,9 @@ class ZechTables:
     * ``log[index_of(a)]`` is the code of a (so ``log[0] == q - 1``);
     * ``exp[n]`` is ``index_of(g^n)``, and ``exp[q - 1] == 0``;
     * ``zech[n]`` is the code of 1 + g^n, a list of q - 1 Python ints; it
-      is q - 1 only at n = (q - 1) / 2, where g^n = -1.
+      is q - 1 only at n = (q - 1) / 2, where g^n = -1;
+    * ``reps[n]`` is the rep of g^n (``reps[q - 1]`` that of zero), and the
+      dict ``codes`` maps a rep to its code: ``ExtensionField`` reads these.
 
     With them a product is a sum of codes mod q - 1, and a sum is
     g^m + g^n = g^(m + zech[n - m]).  ``log`` and ``exp`` are int64 arrays.
@@ -132,6 +134,8 @@ class ZechTables:
             powers[m : m + n] = powers[:n] @ step % p
             step = step @ step % p
             m += n
+        self.reps = list(map(tuple, powers.tolist())) + [field.zero_rep]
+        self.codes = dict(zip(self.reps, range(q)))
         self.weights = p ** np.arange(k - 1, -1, -1, dtype=np.int64)  # index_of
         self.exp = np.append(powers @ self.weights, 0)
         self.log = np.empty(q, dtype=np.int64)
@@ -147,10 +151,10 @@ class _Reducer:
     Up to ``TABLE_MAX_DEGREE``, f mod m is one product: the low n
     coefficients of f plus its high coefficients times the table whose row j
     is x^(n+j) mod m.  The table is built on first use and extended when a
-    longer input arrives; each row is x times the one before, its top
-    coefficient folded back through row 0.  Above that degree the quotient
-    comes from a Newton inverse of the reversed modulus, likewise computed on
-    first use and extended for longer quotients.
+    longer input arrives (``extend_table``); each row is x times the one
+    before, its top coefficient folded back through row 0.  Above that degree
+    the quotient comes from a Newton inverse of the reversed modulus, likewise
+    computed on first use and extended for longer quotients.
 
     On F_q[x]/(m) the q-power map v -> v^q is F_q-linear: v^q = sum_i v_i
     x^(q*i), one product of v with the Frobenius matrix.  The matrix is built
@@ -179,7 +183,7 @@ class _Reducer:
         if self.table is None:
             self.table = ker.to_matrix([ker.neg(ker.trunc(self.m, n))], n)
         if len(self.table) < rows:
-            self.table = ker.extend_table(self.table, max(rows, n - 1))
+            self.table = ker.extend_table(self.table, max(rows, n - 1), self.table[:1])
 
     def reduce(self, f):
         ker, n = self.kernel, self.n
@@ -208,14 +212,13 @@ class _Reducer:
         """Matrix whose row i is x^(q*i) mod m, built on the first call.
 
         The rows are powers of x^q; each comes from the previous one through
-        the matrix of multiplication by x^q (row j is x^j * x^q mod m), which
-        takes one shift-and-reduce step per row."""
+        the matrix of multiplication by x^q, whose rows x^j * x^q mod m are one
+        ``powmod`` and the reduction table's shift recurrence (``extend_table``)."""
         if self.matrix is None:
-            ker, n, x = self.kernel, self.n, self.kernel.xvec()
-            mult = [ker.powmod(x, ker.ctx.q, self)]
-            while len(mult) < n:
-                mult.append(self.reduce(ker.mul(mult[-1], x)))
-            mult = ker.to_matrix(mult, n)
+            ker, n = self.kernel, self.n
+            xq = ker.powmod(ker.xvec(), ker.ctx.q, self)
+            x_n = ker.neg(ker.trunc(self.m, n))
+            mult = ker.extend_table(ker.to_matrix([xq], n), n, ker.to_matrix([x_n], n))
             rows = [ker.one()]
             while len(rows) < n:
                 rows.append(ker.apply_matrix(mult, rows[-1]))
@@ -296,12 +299,12 @@ class Kernel:
             return lead, v
         return lead, self.scale(v, self.ctx.rinv(lead))
 
-    def exact_div(self, a, b):
+    def exact_div(self, a, b, stage: str):
         q, r = self.pdivmod(a, b)
         if self.deg(r) >= 0:
             raise InvariantError(
                 f"exact division left a remainder (q={self.ctx.q}, degree {self.deg(a)}"
-                f" by degree {self.deg(b)})"
+                f" by degree {self.deg(b)}) stage={stage}"
             )
         return q
 
@@ -346,13 +349,14 @@ class Kernel:
         """Whether the n x n Frobenius matrix stays within the memory bound."""
         return n * n * self.width <= FROBENIUS_MAX_ENTRIES
 
-    def extend_table(self, table, rows: int):
-        """A reducer's table (row j is x^(n+j) mod m, padded to n) grown to
-        ``rows`` rows: each row is x times the one before, its top
-        coefficient folded back through row 0."""
+    def extend_table(self, table, rows: int, x_n):
+        """The shift recurrence mod m of degree n: ``table``'s rows (padded to
+        n) grown to ``rows``, each x times the one before, its top coefficient
+        folded back through the one-row ``x_n`` = x^n mod m.  It grows a
+        reducer's table and builds ``frobenius_matrix``'s rows x^j * x^q."""
         out = [self.from_reps(self.to_reps(r)) for r in table]
         while len(out) < rows:
-            out.append(self.fold(self.mul(self.xvec(), out[-1]), table[:1]))
+            out.append(self.fold(self.mul(self.xvec(), out[-1]), x_n))
         return self.to_matrix(out, len(table[0]))
 
     def fold(self, v, table):
@@ -398,14 +402,14 @@ class Kernel:
             df = self.deriv(f)
             if self.deg(df) >= 0:
                 g = self.gcd(f, df)
-                h = self.exact_div(f, g)
+                h = self.exact_div(f, g, "squarefree")
                 i = 1
                 while self.deg(h) > 0:
                     gg = self.gcd(g, h)
-                    hh = self.exact_div(h, gg)
+                    hh = self.exact_div(h, gg, "squarefree")
                     if self.deg(hh) > 0:
                         out.append((hh, i * n_mult))
-                    g = self.exact_div(g, gg)
+                    g = self.exact_div(g, gg, "squarefree")
                     h = gg
                     i += 1
                 if self.deg(g) == 0:
@@ -445,7 +449,7 @@ class Kernel:
             g = self.gcd(rest, prod)
             if self.deg(g) <= 0:
                 continue
-            rest = self.exact_div(rest, g)
+            rest = self.exact_div(rest, g, "distinct-degree")
             for i in range(first, j + 1):
                 if self.deg(g) < 2 * i:
                     # every factor left has degree >= i: g is one or none
@@ -455,7 +459,7 @@ class Kernel:
                 gi = self.gcd(g, self.sub(red.x_power(i), x))
                 if self.deg(gi) > 0:
                     out.append((gi, i))
-                    g = self.exact_div(g, gi)
+                    g = self.exact_div(g, gi, "distinct-degree")
         if self.deg(rest) > 0:
             out.append((rest, self.deg(rest)))
         return out
@@ -481,7 +485,7 @@ class Kernel:
             g = low[d] if not out and d in low else self.gcd(rest, self.sub(red.x_power(d), x))
             if self.deg(g) > 0:
                 out.append((g, d))
-                rest = self.exact_div(rest, g)
+                rest = self.exact_div(rest, g, "distinct-degree")
         if self.deg(rest) > 0:
             out.append((rest, period))
         return out
@@ -502,7 +506,7 @@ class Kernel:
             return [f]
         # restricting builds the parent's Frobenius matrix, which d = 1 never uses
         red = red.restrict(f) if red is not None and d > 1 else self.reducer(f)
-        where = f"(q={self.ctx.q}, deg f={n}, d={d})"
+        where = f"(q={self.ctx.q}, deg f={n}, d={d}) stage=equal-degree"
         for _ in range(MAX_FAILED_DRAWS):
             u = r = self.rand_vec(rng, n)
             for _ in range(d - 1):
@@ -520,7 +524,7 @@ class Kernel:
             raise InvariantError(
                 f"equal-degree splitting failed {MAX_FAILED_DRAWS} draws in a row {where}"
             )
-        pieces = g, self.exact_div(f, g)
+        pieces = g, self.exact_div(f, g, "equal-degree")
         return [h for piece in pieces for h in self.equal_degree_split(piece, d, rng, red)]
 
     def _pair_factor(self, f, d: int, u, red: _Reducer, where: str):
@@ -661,10 +665,10 @@ class ModPKernel(_ArrayKernel):
     def apply_matrix(self, mat, v):
         return self.trim(v @ mat[: len(v)] % self.p)
 
-    def extend_table(self, table, rows):
+    def extend_table(self, table, rows, x_n):
         out = np.empty((rows, table.shape[1]), dtype=np.int64)
         out[: len(table)] = table
-        first = out[0]
+        first = x_n[0]
         for j in range(len(table), rows):
             prev, row = out[j - 1], out[j]
             np.multiply(first, prev[-1], out=row)
@@ -728,8 +732,8 @@ class DigitKernel(_ArrayKernel):
         super().__init__(ctx)
         self.kk = self.width = ctx.k
         self.row = (ctx.k,)
-        tables = ctx.__dict__.get("_t_powers") or _t_powers(ctx)
-        self._tpow, self._tpair = ctx.__dict__.setdefault("_t_powers", tables)
+        ctx._t_powers = ctx._t_powers or _t_powers(ctx)  # once per field
+        self._tpow, self._tpair = ctx._t_powers
 
     def to_reps(self, v):
         return list(map(tuple, v.tolist()))
@@ -777,11 +781,11 @@ class DigitKernel(_ArrayKernel):
         part = part.reshape(part.shape[:-1] + (n, k)).swapaxes(-3, -2)
         return part.reshape(part.shape[:-2] + (k * k,)) @ self._tpair % self.p
 
-    def extend_table(self, table, rows):
+    def extend_table(self, table, rows, x_n):
         old, n, k = table.shape
         out = np.empty((rows, n, k), dtype=np.int64)
         out[:old] = table
-        first = self._t_multiples(out[0]).reshape(k, n * k)  # row u: t^u * row 0
+        first = self._t_multiples(x_n[0]).reshape(k, n * k)  # row u: t^u * x^n mod m
         for j in range(old, rows):
             prev, row = out[j - 1], out[j]
             row[:] = (prev[-1] @ first).reshape(n, k)
@@ -805,12 +809,11 @@ class DigitKernel(_ArrayKernel):
 
     def gcd(self, a, b):
         """Monic gcd, the remainder sequence on lists of the field's log
-        codes (``ZechTables``, built once per field and kept on it).  Fields
-        above ``ZECH_MAX_Q`` keep ``Kernel.gcd``."""
+        codes (``ExtensionField.log_tables``).  Fields above ``ZECH_MAX_Q``,
+        which have none, keep ``Kernel.gcd``."""
         ctx = self.ctx
-        if ctx.q > ZECH_MAX_Q:
+        if not (tab := ctx.log_tables()):
             return Kernel.gcd(self, a, b)
-        tab = ctx.__dict__.get("_zech") or ctx.__dict__.setdefault("_zech", ZechTables(ctx))
         zero = ctx.q - 1
         a, b = tab.log[a @ tab.weights].tolist(), tab.log[b @ tab.weights].tolist()
         while b:
@@ -820,6 +823,11 @@ class DigitKernel(_ArrayKernel):
             a = [c if c == zero else (c - lead) % zero for c in a]
         idx = tab.exp[np.array(a, dtype=np.int64)]
         return idx[:, None] // tab.weights % self.p
+
+    def rand_vec(self, rng, ncoeffs: int):
+        """``Kernel.rand_vec``'s draws, their ``index_of`` digits in one step."""
+        idx = np.array([rng.randrange(self.ctx.q) for _ in range(ncoeffs)], dtype=np.int64)
+        return self.trim(idx[:, None] // self.p ** np.arange(self.kk - 1, -1, -1) % self.p)
 
     def pdivmod(self, a, b):
         if len(b) == 0:

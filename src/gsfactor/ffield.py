@@ -8,7 +8,9 @@ Three context classes share one interface:
   deterministic modulus: the lexicographically smallest monic irreducible of
   degree ``k`` (coefficient vectors compared low-to-high), found by running
   the prime-field kernel's Rabin test over the candidates in that order.
-  Inverses are ``a^(q-2)``.
+  Inverses are ``a^(q-2)``.  Up to ``_kernels.ZECH_MAX_Q`` elements, products
+  and powers are lookups in log tables (``ExtensionField.log_tables``) that
+  the digit loops build; larger fields keep the loops.
 * ``QuadraticExtension`` -- F_q[t]/(t^2 - nu) over a base field, elements
   represented by pairs of base representatives.  When -1 is a nonsquare the
   modulus is t^2 + 1 and ``i`` is t itself; otherwise nu is the canonically
@@ -28,7 +30,6 @@ produce identical outputs.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import threading
@@ -188,6 +189,7 @@ class FieldCtx:
         self._ident = ident
         self._ext: QuadraticExtension | None = None
         self._nonsquare = None  # nonsquare_rep, once found
+        self._order_primes = None  # prime divisors of q - 1, once factored
         self._ext_lock = threading.Lock()
 
     # -- construction ------------------------------------------------------
@@ -210,12 +212,12 @@ class FieldCtx:
             return x.rep
         if isinstance(x, int) and not isinstance(x, bool):
             return self._rep_of_int(x)
+        rep = self._rep_of_other(x)  # before the slower Fraction check, which it never accepts
+        if rep is not None:
+            return rep
         if isinstance(x, Fraction):
             num = self.rep_of(x.numerator)
             return self.rmul(num, self.rinv(self.rep_of(x.denominator)))
-        rep = self._rep_of_other(x)
-        if rep is not None:
-            return rep
         if isinstance(x, FieldElement):
             raise DomainError("element belongs to a different field")
         raise DomainError(f"cannot coerce {x!r} into GF({self.q})")
@@ -285,16 +287,16 @@ class FieldCtx:
                 ss = i
         return min(x, self.rneg(x))
 
-    @functools.cached_property
-    def _order_primes(self) -> tuple[int, ...]:
-        """Prime divisors of q - 1, factored on first use."""
-        return tuple(_factor_int(self.q - 1))
+    def _factor_order(self) -> tuple[int, ...]:
+        """Prime divisors of q - 1, factored on first use and kept."""
+        self._order_primes = tuple(_factor_int(self.q - 1))
+        return self._order_primes
 
     def mult_order_rep(self, a) -> int:
         if a == self.zero_rep:
             raise DomainError("multiplicative order of zero is undefined")
         t = self.q - 1
-        for ell in self._order_primes:
+        for ell in self._order_primes or self._factor_order():
             while t % ell == 0 and self.rpow(a, t // ell) == self.one_rep:
                 t //= ell
         return t
@@ -362,8 +364,12 @@ class PrimeField(FieldCtx):
 
 
 class ExtensionField(FieldCtx):
+    """F_{p^k}: log-table arithmetic up to ``ZECH_MAX_Q`` elements, digit loops above."""
+
     def __init__(self, p: int, k: int):
         super().__init__(p, k, (0,) * k, (1,) + (0,) * (k - 1), (p, k))
+        self._zech = None  # log_tables(), once looked up
+        self._t_powers = None  # DigitKernel's fold tables, built with its first kernel
         self.modulus: tuple[int, ...] = _smallest_modulus(p, k)
         # reduction table: _red[j] = representative of t^(k+j)
         red = []
@@ -380,8 +386,18 @@ class ExtensionField(FieldCtx):
     def _rep_of_int(self, x: int):
         return (x % self.p,) + (0,) * (self.k - 1)
 
+    def log_tables(self):
+        """``ZechTables``, built on the digit loops at the first call; False above ZECH_MAX_Q."""
+        if self._zech is None:
+            from . import _kernels  # imports numpy, which this module does not
+            self._zech = False  # the digit loops build the tables
+            self._zech = self.q <= _kernels.ZECH_MAX_Q and _kernels.ZechTables(self)
+        return self._zech
+
     def _rep_of_other(self, x):
         """Digit vectors, low degree first, zero-padded to length k."""
+        if type(x) is tuple and (tab := self._zech or self.log_tables()) and x in tab.codes:
+            return tab.reps[tab.codes[x]]  # canonical already: the table's own tuple
         if not isinstance(x, (tuple, list)):
             return None
         if len(x) > self.k:
@@ -403,6 +419,9 @@ class ExtensionField(FieldCtx):
         return tuple(-x % p for x in a)
 
     def rmul(self, a, b):
+        if tab := self._zech or self.log_tables():
+            x, y, z = tab.codes[a], tab.codes[b], self.q - 1
+            return self.zero_rep if x == z or y == z else tab.reps[(x + y) % z]
         p, k = self.p, self.k
         prod = [0] * (2 * k - 1)
         for i, x in enumerate(a):
@@ -422,6 +441,11 @@ class ExtensionField(FieldCtx):
         if a == self.zero_rep:
             raise ZeroDivisionError("inverse of zero")
         return self.rpow(a, self.q - 2)
+
+    def rpow(self, a, e: int):
+        if (tab := self._zech or self.log_tables()) and a != self.zero_rep:
+            return tab.reps[tab.codes[a] * e % (self.q - 1)]
+        return super().rpow(a, e)
 
     def rep_at(self, i: int):
         digits = []
@@ -463,6 +487,8 @@ class QuadraticExtension(FieldCtx):
         else:
             self.nu = base.nonsquare_rep()
             self._i_rep = (base.sqrt_rep(minus_one), zero)
+        self._generator = None  # generator_rep, once found
+        self._log_steps = None  # _build_log_steps(), once built
 
     @property
     def i(self) -> "FieldElement":
@@ -549,21 +575,22 @@ class QuadraticExtension(FieldCtx):
             i += 1
         return cand
 
-    @functools.cached_property
+    @property
     def generator_rep(self):
         """First a + t, a in canonical base order, of order q - 1.  The elements
         a*t, which come first in canonical order, never generate; some a + t
-        always does (Cohen, J. London Math. Soc. 27, 1983)."""
-        br = self.base
-        cands = ((br.rep_at(i), br.one_rep) for i in range(br.q))
-        return next(a for a in cands if self.mult_order_rep(a) == self.q - 1)
+        always does (Cohen, J. London Math. Soc. 27, 1983).  Found once."""
+        if self._generator is None:
+            br = self.base
+            cands = ((br.rep_at(i), br.one_rep) for i in range(br.q))
+            self._generator = next(a for a in cands if self.mult_order_rep(a) == self.q - 1)
+        return self._generator
 
-    @functools.cached_property
-    def _log_steps(self) -> tuple:
+    def _build_log_steps(self) -> tuple:
         """Per prime power m exactly dividing q - 1, with h = generator_rep^((q-1)/m)
-        and w = isqrt(m - 1) + 1: (m, w, {h^j: j for j < w}, h^-w)."""
+        and w = isqrt(m - 1) + 1: (m, w, {h^j: j for j < w}, h^-w); kept."""
         out = []
-        for ell in self._order_primes:
+        for ell in self._order_primes or self._factor_order():
             m = ell
             while (self.q - 1) % (m * ell) == 0:
                 m *= ell
@@ -573,7 +600,8 @@ class QuadraticExtension(FieldCtx):
                 baby[cur] = j
                 cur = self.rmul(cur, h)
             out.append((m, width, baby, self.rinv(cur)))
-        return tuple(out)
+        self._log_steps = tuple(out)
+        return self._log_steps
 
     def log_rep(self, a) -> int:
         """The discrete log of the rep a to ``generator_rep``: Pohlig-Hellman
@@ -582,7 +610,7 @@ class QuadraticExtension(FieldCtx):
         if a == self.zero_rep:
             raise DomainError("discrete log of zero is undefined")
         x, mod = 0, 1
-        for m, width, baby, giant in self._log_steps:
+        for m, width, baby, giant in self._log_steps or self._build_log_steps():
             t = self.rpow(a, (self.q - 1) // m)
             for i in range(width):  # width^2 > m - 1: enough giant steps
                 if t in baby:

@@ -329,14 +329,18 @@ def factorize(f: Poly, seed: int | None = None) -> Factorization:
     ker, v = f._vectors(len(f.reps))
     lead_rep, vm = ker.make_monic(v)
     seed = DEFAULT_SEED if seed is None else seed
-    raw = ker.factor_monic(vm, random.Random(seed))
+    try:
+        raw = ker.factor_monic(vm, random.Random(seed))
+        if sum(ker.deg(vec) * m for vec, m in raw) != f.degree:
+            raise InvariantError("factor degrees do not sum to the input degree")
+    except InvariantError as err:  # err names the engine's stage
+        base = getattr(ctx, "base", None)  # a quadratic extension replays as its base's .ext
+        field = f"make_field_q({ctx.q})" if base is None else f"make_field_q({base.q}).ext"
+        call = f"factorize(Poly({field}, {list(f.reps)}), seed={seed})"
+        replay = f'python3 -c "from gsfactor import Poly, factorize, make_field_q; print({call})"'
+        raise InvariantError(f"{err} (q={ctx.q} seed={seed} replay: {replay})") from None
     factors = [(Poly(ctx, ker.to_reps(vec)), m) for vec, m in raw]
-    fact = Factorization(FieldElement(ctx, lead_rep), factors)
-    if sum(g.degree * m for g, m in fact.factors) != f.degree:
-        raise InvariantError(
-            f"factor degrees do not sum to the input degree (q={ctx.q}, seed={seed})"
-        )
-    return fact
+    return Factorization(FieldElement(ctx, lead_rep), factors)
 
 
 def is_irreducible(f: Poly) -> bool:

@@ -12,9 +12,11 @@ import signal
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 
+from gsfactor import _kernels
 from gsfactor.errors import DomainError, InvariantError
 from gsfactor.ffield import (
     FieldElement,
@@ -389,8 +391,8 @@ class TestQuadraticExtension:
         # giant steps of 1 never reach a baby step: after ``width`` of them
         # the search stops with an InvariantError (the alarm is only a guard)
         ext = make_field(13).ext
-        steps = tuple((m, w, baby, ext.one_rep) for m, w, baby, _ in ext._log_steps)
-        monkeypatch.setitem(ext.__dict__, "_log_steps", steps)
+        steps = tuple((m, w, baby, ext.one_rep) for m, w, baby, _ in ext._build_log_steps())
+        monkeypatch.setattr(ext, "_log_steps", steps)
 
         def hang(signum, frame):
             raise TimeoutError("log_rep is still looping after 5 s")
@@ -510,3 +512,55 @@ class TestRepOrderIsCanonical:
         reps = [a.rep for a in elements(field)]
         assert reps == sorted(reps) and len(set(reps)) == field.q
         assert [field.rep_at(i) for i in range(field.q)] == reps
+
+
+class TestLogTables:
+    """Extension-field arithmetic on the log tables against the digit loops
+    that build them: the same field with ``ZECH_MAX_Q`` below its size."""
+
+    @pytest.fixture(params=[(3, 2), (5, 2), (3, 3), (7, 2), (5, 3)], ids=str)
+    def sides(self, request, monkeypatch):
+        tables = make_field(*request.param)
+        assert isinstance(tables.log_tables(), _kernels.ZechTables)
+        monkeypatch.setattr(_kernels, "ZECH_MAX_Q", tables.q - 1)
+        loops = make_field(*request.param)
+        assert loops.log_tables() is False
+        monkeypatch.undo()  # each field read the bound once
+        return tables, loops
+
+    @staticmethod
+    def same(tables, loops, name, *args):
+        """One operation on both sides: equal results, or the same error."""
+        try:
+            want = getattr(loops, name)(*args)
+        except (ZeroDivisionError, DomainError) as err:
+            with pytest.raises(type(err)):
+                getattr(tables, name)(*args)
+            return
+        assert getattr(tables, name)(*args) == want, (name, args)
+
+    def test_every_pair(self, sides):
+        tables, loops = sides
+        q, reps = tables.q, list(tables.reps())
+        for a in reps:
+            for b in reps:
+                self.same(tables, loops, "rmul", a, b)
+                # negative, zero and positive exponents over the pairs
+                self.same(tables, loops, "rpow", a, tables.index_of(b) - q // 2)
+
+    def test_every_element(self, sides):
+        tables, loops = sides
+        q = tables.q
+        large = [q - 1, q, 3 * q + 2, 10**30 + 7, -(10**30) - 7]
+        for a in tables.reps():
+            for e in large:
+                self.same(tables, loops, "rpow", a, e)
+            for name in ("rinv", "sqrt_rep", "quad_char_rep", "mult_order_rep"):
+                self.same(tables, loops, name, a)
+
+    def test_canonical_tuples_coerce_to_the_table_reps(self, sides):
+        tables, loops = sides
+        for a in tables.reps():
+            for x in (a, tuple(map(np.int64, a)), list(a), a[:-1]):
+                got = tables.rep_of(x)
+                assert got == loops.rep_of(x) and all(type(d) is int for d in got)

@@ -18,9 +18,11 @@ import pytest
 import sympy
 
 from gsfactor import _kernels, ffield
-from gsfactor._kernels import DigitKernel, ModPKernel, ObjectKernel, kernel_for
+from gsfactor._kernels import DigitKernel, Kernel, ModPKernel, ObjectKernel, kernel_for
+from gsfactor.dickson import build_ctx, build_g
 from gsfactor.errors import InvariantError
-from gsfactor.ffield import make_field
+from gsfactor.factorizer import factor_closed_form
+from gsfactor.ffield import make_field, make_field_q
 from gsfactor.polyring import Poly, factorize
 
 FIELDS = {
@@ -446,6 +448,26 @@ class TestTableReduction:
                 got = ker.from_reps(ker.to_reps(row))
                 assert ker.eq(got, ker.pdivmod(x_power(ker, n + j), m)[1])
 
+    @pytest.mark.parametrize("n", [1, 4, 9])
+    def test_shift_recurrence(self, field, n):
+        # extend_table's row j is x * row j-1 mod m, whatever row 0 is: the
+        # reduction table's x^n mod m or the Frobenius matrix's x^q mod m;
+        # a table extended twice continues the same sequence
+        rng = random.Random(30 + n)
+        m_reps = rand_reps(field, n, rng, monic=True)
+        start = rand_reps(field, n - 1, rng)
+        for ker in both(field):
+            m = ker.from_reps(m_reps)
+            red, x_n = ker.reducer(m), ker.to_matrix([ker.neg(ker.trunc(m, n))], n)
+            once = ker.extend_table(ker.to_matrix([ker.from_reps(start)], n), n + 2, x_n)
+            twice = ker.extend_table(once, 3 * n + 4, x_n)
+            assert len(once) == n + 2 and len(twice) == 3 * n + 4
+            prev = ker.from_reps(start)
+            for j, row in enumerate(twice):
+                assert ker.eq(ker.from_reps(ker.to_reps(row)), prev), j
+                assert j >= len(once) or ker.eq(ker.from_reps(ker.to_reps(once[j])), prev)
+                prev = red.reduce(ker.mul(prev, ker.xvec()))
+
     def test_reduce_long_inputs(self, field):
         fast, ref = both(field)
         rng = random.Random(21)
@@ -575,10 +597,11 @@ class TestEuclid:
         calls = self.count_pdivmod(F, monkeypatch)
         rng = random.Random(9)
         self.check(F, [gcd_case(F, rng, 12) for _ in range(10)])
-        assert calls and "_zech" not in F.__dict__
+        assert calls and F._zech is False  # no tables: every operation on digit loops
         monkeypatch.setattr(_kernels, "ZECH_MAX_Q", F.q)
+        F = make_field(*EUCLID_FIELDS["F169"])  # a field reads the bound once
         self.check(F, [gcd_case(F, rng, 12)])
-        assert "_zech" in F.__dict__
+        assert isinstance(F._zech, _kernels.ZechTables)
 
     def test_edge_inputs(self, efield):
         F, rng = efield, random.Random(10)
@@ -608,6 +631,21 @@ class TestZechTables:
         assert tab.log[tab.exp].tolist() == list(range(q))
         assert tab.exp[tab.log].tolist() == list(range(q))
         assert [n for n in range(q - 1) if tab.zech[n] == q - 1] == [(q - 1) // 2]
+
+    def test_digit_loops_factor_alike(self, monkeypatch):
+        # with ZECH_MAX_Q below q a field runs every operation on its digit
+        # loops: the engine and the closed form give the same answers
+        def answers():
+            ctx = build_ctx(make_field_q(125))
+            tables = ctx.field.log_tables()
+            s = ctx.field.elem((1, 2, 2))
+            return tables, factorize(build_g(ctx, s), seed=3), factor_closed_form(ctx, s)
+
+        tables, *want = answers()
+        monkeypatch.setattr(_kernels, "ZECH_MAX_Q", 124)
+        loops, *got = answers()
+        assert isinstance(tables, _kernels.ZechTables) and loops is False
+        assert got == want
 
     def test_built_once_per_field(self, monkeypatch):
         built = []
@@ -747,6 +785,13 @@ class TestPackedDigitKernel:
             assert [fast.to_reps(r) for r in got] == want
             for row, v in zip(got, fstack):
                 assert fast.eq(row, fast.fold(v, fmat))
+
+    def test_rand_vec_takes_the_same_draws(self, efield):
+        ker = DigitKernel(efield)
+        for n in (0, 1, 5, 40):
+            draws = (DigitKernel.rand_vec, Kernel.rand_vec)
+            got, want = (draw(ker, random.Random(n), n) for draw in draws)
+            assert ker.eq(got, want) and got.dtype == np.int64
 
     def test_trim(self, efield):
         ker = DigitKernel(efield)

@@ -69,12 +69,20 @@ PINS = [
         60,
         "cd2d1d3d65ea3009d24a2e4536426c1cc64da0b2a69b584d1368eb0044d05d49",
     ),
-    # closed-form shapes over an extension field
+    # an AllQuadratic g_s over F_81, whose pairs finish from the trace's quadratic
+    (engine(81, "(1, 2)"), 0, 60, "762ab4f94da86a3f6fa3bdf0cf426a0b623ee1c7963f4e4a5e3dfbb66292cdf1"),
+    # closed-form shapes over extension fields
     (
         "gsfactor atlas q=125",
         0,
         60,
         "10ec94034865dd418fe7a66e33da33d6773069675bfc9eb08183d1d5fc34765a",
+    ),
+    (
+        "gsfactor atlas q=169",
+        0,
+        60,
+        "b1720a30c2d1200b0ecaf831f30a4f805cbc21ae817096ec80e1927dbd0e8d32",
     ),
     # every other subcommand's output, sweeps included
     (

@@ -7,6 +7,7 @@ self-consistency (expand, irreducibility, degree bookkeeping).
 
 import random
 import re
+import shlex
 from fractions import Fraction
 
 import pytest
@@ -253,6 +254,36 @@ class TestFactorize:
             factorize(x**2 + 2)
         assert re.search(r"\bq=13\b", str(err.value))
         assert re.search(r"\bdegree 2 by degree 1\b", str(err.value))
+
+    @pytest.mark.parametrize(
+        "stage, name, fake, roots, squared",
+        [
+            # gcd(f, f') is not a divisor of f with a squared factor
+            ("squarefree", "gcd", lambda ker, a, b: ker.from_reps([1, 1]), (1, 2), (1,)),
+            # the divisor gcd of an irreducible quadratic is not a divisor
+            ("distinct-degree", "gcd", lambda ker, a, b: ker.from_reps([1, 1]), (), ()),
+            # constant draws never split three linear factors
+            ("equal-degree", "rand_vec", lambda ker, rng, n: ker.one(), (1, 2, 3), ()),
+        ],
+    )
+    def test_engine_failure_names_stage_seed_and_replay(
+        self, stage, name, fake, roots, squared, monkeypatch
+    ):
+        monkeypatch.setattr(_kernels.ModPKernel, name, fake)
+        x = Poly.x(F13)
+        f = x**2 + 2 if not roots else Poly.one(F13)
+        for r in roots + squared:
+            f = f * (x - r)
+        with pytest.raises(InvariantError) as err:
+            factorize(f, seed=77)
+        message = str(err.value)
+        assert f"stage={stage} (q=13 seed=77 replay: " in message
+        # the replay command raises the same failure while the fault lasts
+        argv = shlex.split(re.search(r"replay: (.*)\)$", message).group(1))
+        assert argv[:2] == ["python3", "-c"]
+        with pytest.raises(InvariantError) as again:
+            exec(argv[2], {})
+        assert str(again.value) == message
 
 
 class TestRoots:
